@@ -28,7 +28,8 @@ pub enum SolverChoice {
     SymmetricAmva,
     /// General multi-class Bard–Schweitzer (the paper's Figure 3).
     Amva,
-    /// Chandy–Neuse Linearizer.
+    /// Chandy–Neuse Linearizer (translation-symmetric on tori with a
+    /// translation-invariant pattern, general otherwise).
     Linearizer,
     /// Exact multi-class MVA (small populations only).
     Exact,
@@ -39,10 +40,13 @@ pub enum SolverChoice {
 const AUTO_EXACT_ENTRIES: u128 = 500_000;
 
 /// Auto rung 1 budget: run the Linearizer when its per-sweep cost proxy
-/// `C² · M` stays below this. Covers the paper's 4×4 torus
-/// (`16² · 80 = 20_480`) where Bard–Schweitzer visibly underestimates
-/// memory contention, while a 5×5 torus (`25² · 100 = 62_500`) already
-/// falls through to the O(M) symmetric solver.
+/// `C² · M` stays below this. Covers the paper's 4×4 torus with one
+/// memory port (`M = 4P = 64`, so `16² · 64 = 16_384`) where
+/// Bard–Schweitzer visibly underestimates memory contention, while a 5×5
+/// torus (`25² · 100 = 62_500`) already falls through to the O(M)
+/// symmetric solver. The proxy is the general path's cost; on tori the
+/// translation-symmetric path is cheaper still, but the rung boundaries
+/// stay where they are.
 const AUTO_LINEARIZER_COST: usize = 32_000;
 
 /// Solve an already-built MMS network with the chosen solver.
@@ -79,7 +83,7 @@ pub fn solve_network_in(
         SolverChoice::Auto => solve_auto(mms, opts, warm, ws),
         SolverChoice::SymmetricAmva => symmetric::solve_in(mms, opts, warm, ws),
         SolverChoice::Amva => amva::solve_in(&mms.net, opts, warm, ws),
-        SolverChoice::Linearizer => linearizer::solve_in(&mms.net, opts, warm, ws),
+        SolverChoice::Linearizer => linearizer::solve_mms_in(mms, opts, warm, ws),
         SolverChoice::Exact => exact::solve(&mms.net),
     }
 }
@@ -119,7 +123,7 @@ fn solve_auto(
         match retrying(
             &mut wasted,
             opts,
-            |o, ws| linearizer::solve_in(net, o, warm, ws),
+            |o, ws| linearizer::solve_mms_in(mms, o, warm, ws),
             ws,
         ) {
             Ok(sol) => return Ok(absorb_wasted(sol, &wasted)),
@@ -157,7 +161,7 @@ fn solve_auto(
     // Rung 4, last resort: a heavily damped Linearizer even past its cost
     // budget (only reached when every cheaper rung failed to converge).
     if linearizer_cost > AUTO_LINEARIZER_COST {
-        match linearizer::solve_in(net, opts.tightened(), warm, ws) {
+        match linearizer::solve_mms_in(mms, opts.tightened(), warm, ws) {
             Ok(sol) => return Ok(absorb_wasted(sol, &wasted)),
             Err(LtError::NoConvergence { .. }) => {}
             Err(e) => return Err(e),
@@ -167,8 +171,9 @@ fn solve_auto(
     Err(last_err)
 }
 
-/// Run `f(opts, ws)`; on [`LtError::NoConvergence`] record the wasted
-/// effort and retry once with [`SolverOptions::tightened`].
+/// Run `f(opts, ws)`; on [`LtError::NoConvergence`] retry once with
+/// [`SolverOptions::tightened`]. The iterations of every attempt that
+/// fails to converge, the retry included, are recorded as wasted.
 fn retrying<F>(
     wasted: &mut SolverDiagnostics,
     opts: SolverOptions,
@@ -181,7 +186,11 @@ where
     match f(opts, ws) {
         Err(LtError::NoConvergence { iterations, .. }) => {
             wasted.iterations += iterations;
-            f(opts.tightened(), ws)
+            let retry = f(opts.tightened(), ws);
+            if let Err(LtError::NoConvergence { iterations, .. }) = &retry {
+                wasted.iterations += iterations;
+            }
+            retry
         }
         other => other,
     }
@@ -528,6 +537,49 @@ mod tests {
         let l = solve_with(&cfg, SolverChoice::Linearizer).unwrap();
         assert_eq!(a.diagnostics.solver, "linearizer");
         assert_eq!(a.u_p, l.u_p);
+    }
+
+    #[test]
+    fn torus_linearizer_needs_at_most_a_quarter_of_the_general_iterations() {
+        // The translation-symmetric path replaces the C + 1 O(C·M) solves
+        // of each outer sweep by one O(C·M) and one O(M) solve; the
+        // iteration counters pin that saving without timing anything.
+        let mms = build_network(&SystemConfig::paper_default()).unwrap();
+        let symmetric = solve_network(&mms, SolverChoice::Linearizer).unwrap();
+        let general = linearizer::solve(&mms.net).unwrap();
+        assert!(
+            symmetric.diagnostics.iterations * 4 <= general.diagnostics.iterations,
+            "symmetric {} vs general {} iterations",
+            symmetric.diagnostics.iterations,
+            general.diagnostics.iterations
+        );
+    }
+
+    #[test]
+    fn retrying_counts_both_failed_attempts_as_wasted() {
+        // The first attempt has 7 iterations, the tightened retry 14; both
+        // fail, and both must be counted.
+        let mut wasted = SolverDiagnostics::direct("auto");
+        let opts = SolverOptions {
+            max_iterations: 7,
+            ..SolverOptions::default()
+        };
+        let err = retrying(
+            &mut wasted,
+            opts,
+            |o, _| {
+                Err(LtError::NoConvergence {
+                    solver: "test",
+                    iterations: o.max_iterations,
+                    residual: 1.0,
+                    trace: Vec::new(),
+                })
+            },
+            &mut SolverWorkspace::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, LtError::NoConvergence { iterations: 14, .. }));
+        assert_eq!(wasted.iterations, 21);
     }
 
     #[test]

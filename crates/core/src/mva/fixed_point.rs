@@ -56,7 +56,10 @@ pub struct SolverDiagnostics {
     pub damping_trace: Vec<f64>,
     /// Flattened state index with the largest residual at the last
     /// iteration — for the MVA solvers this identifies the station (and
-    /// class) that is hardest to converge, typically the bottleneck.
+    /// class) that is hardest to converge, typically the bottleneck. The
+    /// translation-symmetric solvers (`symmetric-amva`, and `linearizer`
+    /// on tori) iterate over class 0 only, so there it indexes class 0's
+    /// station row.
     pub max_residual_index: Option<usize>,
     /// Number of geometric-extrapolation boosts applied.
     pub extrapolations: usize,

@@ -2,7 +2,8 @@
 //!
 //! * [`exact`] — the exact multi-class MVA recursion over the population
 //!   lattice. Cost grows as `∏(N_i + 1)`, so it is only practical for small
-//!   systems; the paper makes the same point with its 63,504-state example.
+//!   systems (the paper makes the same point with its 63,504-state
+//!   example); the Auto ladder runs it as rung 0 when the lattice is small.
 //! * [`convolution`] — Buzen's normalization-constant algorithm
 //!   (single class), an independent exact solver cross-checking the MVA
 //!   recursion.
@@ -12,7 +13,9 @@
 //! * [`amva`] — the Bard–Schweitzer approximate MVA, the algorithm of the
 //!   paper's Figure 3. This is the workhorse solver.
 //! * [`linearizer`] — the Chandy–Neuse Linearizer, a higher-order
-//!   approximation used for the solver-accuracy ablation.
+//!   approximation: Auto rung 1 for medium systems (the paper's 4×4 torus)
+//!   and the last-resort rung 4. On tori it solves one reduced network per
+//!   outer sweep and derives the rest by translation.
 //! * [`symmetric`] — an `O(M)`-per-iteration specialization of
 //!   Bard–Schweitzer exploiting the SPMD translation symmetry of the MMS on
 //!   a torus.

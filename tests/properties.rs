@@ -115,6 +115,95 @@ fn symmetric_equals_general() {
     });
 }
 
+/// The Linearizer's translation-symmetric path agrees with its general
+/// path on every torus shape it takes (square and rectangular, one or two
+/// memory ports, n_t = 1 emptying class 0 of N − 1₀ included), and
+/// networks without the symmetry take the general path bit for bit.
+#[test]
+fn symmetric_linearizer_equals_general() {
+    use lt_core::analysis::solve_network_in;
+    use lt_core::metrics::report;
+    use lt_core::mva::{linearizer, MvaSolution, SolverOptions};
+    let opts = SolverOptions::default();
+    let mut ws = SolverWorkspace::new();
+    let mut solve_both = |cfg: &SystemConfig| {
+        let mms = build_network(cfg).unwrap();
+        let sym = solve_network_in(&mms, SolverChoice::Linearizer, opts, None, &mut ws).unwrap();
+        let gen = linearizer::solve_in(&mms.net, opts, None, &mut ws).unwrap();
+        (mms, sym, gen)
+    };
+
+    let tori = [
+        Topology::torus(2),
+        Topology::torus(3),
+        Topology::torus(4),
+        Topology::torus(5),
+        Topology::rect_torus(2, 3),
+        Topology::rect_torus(3, 4),
+    ];
+    let mut gen = ConfigGen::new(0x11AE);
+    for case in 0..36 {
+        let pattern = if gen.int_in(0, 1) == 0 {
+            AccessPattern::geometric(gen.in_range(0.05, 1.0))
+        } else {
+            AccessPattern::Uniform
+        };
+        // The first pass over the shapes pins n_t = 1.
+        let n_t = if case < tori.len() {
+            1
+        } else {
+            gen.int_in(1, 12)
+        };
+        let mut cfg = SystemConfig::paper_default()
+            .with_topology(tori[case % tori.len()])
+            .with_n_threads(n_t)
+            .with_memory_ports(gen.int_in(1, 2))
+            .with_p_remote(gen.in_range(0.0, 0.9))
+            .with_pattern(pattern);
+        cfg.arch.switch_delay = gen.int_in(1, 2) as f64;
+        cfg.arch.memory_latency = gen.int_in(1, 2) as f64;
+        let (mms, sym, general) = solve_both(&cfg);
+        let (a, b) = (report(&mms, &sym), report(&mms, &general));
+        for (name, x, y) in [
+            ("u_p", a.u_p, b.u_p),
+            ("s_obs", a.s_obs, b.s_obs),
+            ("l_obs", a.l_obs, b.l_obs),
+            ("lambda_net", a.lambda_net, b.lambda_net),
+        ] {
+            let rel = (x - y).abs() / y.abs().max(1e-300);
+            assert!(rel < 1e-9, "case #{case} {cfg:?}: {name} {x} vs {y}");
+        }
+        for (i, (x, y)) in sym.queue.iter().zip(&general.queue).enumerate() {
+            for (st, (q, r)) in x.iter().zip(y).enumerate() {
+                assert!(
+                    (q - r).abs() < 1e-8,
+                    "case #{case} {cfg:?}: class {i} station {st}: {q} vs {r}"
+                );
+            }
+        }
+    }
+
+    // No translation symmetry: the general path runs, bit for bit.
+    let same = |a: &MvaSolution, b: &MvaSolution| {
+        a.throughput == b.throughput
+            && a.queue == b.queue
+            && a.wait == b.wait
+            && a.iterations == b.iterations
+    };
+    for cfg in [
+        SystemConfig::paper_default()
+            .with_topology(Topology::mesh(3))
+            .with_n_threads(5),
+        SystemConfig::paper_default()
+            .with_topology(Topology::torus(3))
+            .with_pattern(AccessPattern::hot_spot(0.3))
+            .with_n_threads(4),
+    ] {
+        let (_, sym, general) = solve_both(&cfg);
+        assert!(same(&sym, &general), "{cfg:?} left the general path");
+    }
+}
+
 /// Adding threads never reduces utilization (closed PF networks are
 /// monotone in per-class population). Pinned to one explicit solver:
 /// the Auto ladder may cross an accuracy tier between n_t and n_t + 2,
@@ -329,10 +418,19 @@ fn warm_start_agrees_with_cold_for_every_solver() {
 /// once it has seen every shape.
 #[test]
 fn workspace_reuse_across_shapes_is_clean() {
+    use lt_core::analysis::solve_network_in;
     use lt_core::mva::{amva, linearizer, symmetric, SolverOptions};
     let mut gen = ConfigGen::new(0xCAFE);
-    // Dissimilar shapes: station count and populations both vary.
-    let shapes: Vec<SystemConfig> = (0..10).map(|_| gen.next()).collect();
+    // Dissimilar shapes: station count and populations both vary, and the
+    // torus shapes include rectangular and two-port ones.
+    let mut shapes: Vec<SystemConfig> = (0..10).map(|_| gen.next()).collect();
+    shapes.push(
+        SystemConfig::paper_default()
+            .with_topology(Topology::rect_torus(2, 3))
+            .with_memory_ports(2)
+            .with_n_threads(3),
+    );
+    shapes.push(SystemConfig::paper_default().with_memory_ports(2));
     let opts = SolverOptions::default();
     let mut shared = SolverWorkspace::new();
 
@@ -349,6 +447,15 @@ fn workspace_reuse_across_shapes_is_clean() {
             let a = symmetric::solve_in(&mms, opts, None, shared).unwrap();
             let b = symmetric::solve_in(&mms, opts, None, &mut SolverWorkspace::new()).unwrap();
             assert_eq!(a.throughput, b.throughput, "symmetric leaked: {cfg:?}");
+            // The Linearizer's translation-symmetric path, as latencyd runs
+            // it on pooled workspaces.
+            let lin = SolverChoice::Linearizer;
+            let a = solve_network_in(&mms, lin, opts, None, shared).unwrap();
+            let b = solve_network_in(&mms, lin, opts, None, &mut SolverWorkspace::new()).unwrap();
+            assert!(
+                a.throughput == b.throughput && a.queue == b.queue && a.wait == b.wait,
+                "symmetric linearizer leaked: {cfg:?}"
+            );
         }
     };
 
