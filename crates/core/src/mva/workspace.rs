@@ -9,7 +9,7 @@
 //! solved thousands of times.
 //!
 //! A [`SolverWorkspace`] owns all of those buffers and hands them to a
-//! solver via [`SolverWorkspace::scratch`]. Buffers are `clear()` +
+//! solver via `SolverWorkspace::scratch`. Buffers are `clear()` +
 //! `resize()`d to the requested shape, so:
 //!
 //! * the solver always sees zeroed, correctly-sized scratch (no stale state

@@ -20,7 +20,7 @@
 //! witness path printed in the suggestion.
 //!
 //! **LT09 no-blocking-on-pool-worker**: dispatcher call names start from
-//! `{submit, execute, run_batch}` ([`WorkerPool`]'s job entry points) and
+//! `{submit, execute, run_batch}` (`WorkerPool`'s job entry points) and
 //! grow by one derivation: a fn that passes one of its own parameters
 //! into a dispatcher's arguments (`run_on_pool(state, f)` calling
 //! `pool.execute(move || f(shared))`) is itself a dispatcher. Pool-job
@@ -41,7 +41,7 @@
 //! `cluster/forward.rs`. Calls inside closures handed to `offload` or a
 //! pool dispatcher run on handler/worker threads and are exempt — at
 //! every hop of the walk, not just the root (that is how
-//! `reactor -> route -> offload(|| dispatch(..))` stays clean while a
+//! `reactor -> route -> offload(|| handle_solve(..))` stays clean while a
 //! hypothetical `reactor -> route -> exchange` would be flagged).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -2,7 +2,10 @@
 //! parameter-grid expansion for sweeps, and the error-to-status mapping.
 //!
 //! Everything here is transport-free (bytes in, structured values out) so
-//! it unit-tests without sockets; `server.rs` wires it to HTTP.
+//! it unit-tests without sockets; `server.rs` wires it to HTTP, and every
+//! error answer is an [`ApiError`] turned into a [`Response`].
+
+use std::time::Duration;
 
 use lt_core::analysis::SolverChoice;
 use lt_core::json::{self, JsonValue};
@@ -10,6 +13,8 @@ use lt_core::params::SystemConfig;
 use lt_core::tolerance::IdealSpec;
 use lt_core::wire;
 use lt_core::LtError;
+
+use crate::http::Response;
 
 /// Most configs a single sweep request may expand to.
 pub const MAX_SWEEP_ITEMS: usize = 4096;
@@ -28,46 +33,83 @@ pub struct ApiError {
 }
 
 impl ApiError {
-    /// A `400 bad_request` error.
-    pub fn bad_request(message: impl Into<String>) -> ApiError {
+    fn new(status: u16, kind: &str, message: impl Into<String>) -> ApiError {
         ApiError {
-            status: 400,
-            kind: "bad_request".into(),
+            status,
+            kind: kind.into(),
             message: message.into(),
         }
     }
 
+    /// A `400 bad_request` error.
+    pub fn bad_request(message: impl Into<String>) -> ApiError {
+        ApiError::new(400, "bad_request", message)
+    }
+
+    /// A `bad_request` error answered with `status`: the HTTP parser's
+    /// 400/411/413/431 for a malformed request, or 405 for a known path
+    /// asked with another method.
+    pub fn rejected(status: u16, message: impl Into<String>) -> ApiError {
+        ApiError::new(status, "bad_request", message)
+    }
+
+    /// A `404 not_found` error.
+    pub fn not_found(message: impl Into<String>) -> ApiError {
+        ApiError::new(404, "not_found", message)
+    }
+
+    /// A `503` error (kind `internal`) for a request the service can no
+    /// longer run: it is shutting down, or the request was abandoned.
+    pub fn unavailable(message: impl Into<String>) -> ApiError {
+        ApiError::new(503, "internal", message)
+    }
+
+    /// A `500 internal` error: the service broke one of its own
+    /// invariants.
+    pub fn internal(message: impl Into<String>) -> ApiError {
+        ApiError::new(500, "internal", message)
+    }
+
+    /// The `408 timeout` error for a request that stalled mid-transfer
+    /// past the connection's idle timeout.
+    pub fn stalled(idle_timeout: Duration) -> ApiError {
+        let ms = idle_timeout.as_millis();
+        ApiError::new(
+            408,
+            "timeout",
+            format!("request stalled mid-transfer beyond the {ms}ms idle timeout"),
+        )
+    }
+
     /// The `504 timeout` error for a request that blew its deadline.
     pub fn timeout(timeout_ms: u64) -> ApiError {
-        ApiError {
-            status: 504,
-            kind: "timeout".into(),
-            message: format!("request did not complete within {timeout_ms} ms"),
-        }
+        ApiError::new(
+            504,
+            "timeout",
+            format!("request did not complete within {timeout_ms} ms"),
+        )
     }
 
     /// The `429 overloaded` error for a request shed by admission
     /// control. The response carries `Retry-After`.
     pub fn overloaded(in_flight: usize, limit: usize) -> ApiError {
-        ApiError {
-            status: 429,
-            kind: "overloaded".into(),
-            message: format!(
+        ApiError::new(
+            429,
+            "overloaded",
+            format!(
                 "server is at capacity ({in_flight} requests in flight, limit {limit}); retry later"
             ),
-        }
+        )
     }
 
     /// The `500 worker_lost` error for a request whose worker died
     /// mid-solve and whose retry budget is exhausted.
     pub fn worker_lost(attempts: u32) -> ApiError {
-        ApiError {
-            status: 500,
-            kind: "worker_lost".into(),
-            message: format!(
-                "a worker thread died while solving this request ({attempts} attempt(s) made)"
-            ),
-        }
+        ApiError::new(
+            500,
+            "worker_lost",
+            format!("a worker thread died while solving this request ({attempts} attempt(s) made)"),
+        )
     }
 
     /// The JSON body for this error.
@@ -82,15 +124,19 @@ impl ApiError {
     }
 }
 
+impl From<ApiError> for Response {
+    /// The error's status with its `{"error":{...}}` body.
+    fn from(e: ApiError) -> Response {
+        Response::json(e.status, e.body())
+    }
+}
+
 impl From<LtError> for ApiError {
     /// Model errors map to `400` when the client sent a bad config and
     /// `500` when the solver itself failed.
     fn from(e: LtError) -> ApiError {
-        ApiError {
-            status: if e.is_client_error() { 400 } else { 500 },
-            kind: e.kind().to_string(),
-            message: e.to_string(),
-        }
+        let status = if e.is_client_error() { 400 } else { 500 };
+        ApiError::new(status, e.kind(), e.to_string())
     }
 }
 
@@ -581,6 +627,33 @@ mod tests {
         assert_eq!(e.status, 504);
         let body = e.body();
         assert!(body.contains("\"kind\":\"timeout\""), "{body}");
+    }
+
+    #[test]
+    fn constructed_errors_keep_their_wire_shapes() {
+        for (e, status, kind) in [
+            (ApiError::rejected(431, "m"), 431, "bad_request"),
+            (ApiError::not_found("m"), 404, "not_found"),
+            (ApiError::unavailable("m"), 503, "internal"),
+            (ApiError::internal("m"), 500, "internal"),
+        ] {
+            assert_eq!(
+                (e.status, e.kind.as_str(), e.message.as_str()),
+                (status, kind, "m")
+            );
+        }
+        let e = ApiError::stalled(Duration::from_millis(250));
+        assert_eq!((e.status, e.kind.as_str()), (408, "timeout"));
+        assert_eq!(
+            e.message,
+            "request stalled mid-transfer beyond the 250ms idle timeout"
+        );
+        let resp = Response::from(ApiError::not_found("no such endpoint: /x"));
+        assert_eq!(resp.status, 404);
+        assert_eq!(
+            resp.body,
+            br#"{"error":{"kind":"not_found","message":"no such endpoint: /x"}}"#
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! answer them) and never on reactor threads (a slow peer cannot stall
 //! connection I/O).
 
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -95,8 +95,7 @@ pub fn exchange(
         .and_then(|()| writer.flush())
         .map_err(|e| ForwardError::Transport(format!("write to {addr}: {e}")))?;
 
-    let mut reader = BufReader::new(&stream);
-    read_response(&mut reader, max_body).map_err(|e| match e {
+    read_response(&mut &stream, max_body).map_err(|e| match e {
         ReadError::Closed => ForwardError::Transport(format!("{addr} closed before answering")),
         ReadError::Io(io) => ForwardError::Transport(format!("read from {addr}: {io}")),
         ReadError::Bad { message, .. } => {
@@ -290,6 +289,7 @@ mod tests {
         let mk = |headers: Vec<(String, String)>| crate::http::Request {
             method: "POST".into(),
             path: "/v1/solve".into(),
+            http10: false,
             headers,
             body: Vec::new(),
         };

@@ -1,19 +1,43 @@
 //! A hand-rolled HTTP/1.1 subset: exactly what `latencyd` needs and
 //! nothing more.
 //!
-//! Supported: request-line + header parsing, `Content-Length` bodies,
-//! keep-alive (HTTP/1.1 default) and `Connection: close`, and response
-//! serialization. Not supported (rejected with a clear status): chunked
-//! request bodies (`411`), bodies over the configured cap (`413`),
-//! malformed framing (`400`). The parser enforces hard limits on line
-//! length and header count so a hostile peer cannot balloon memory.
+//! One incremental framing core reads both directions of the wire:
+//! [`RequestParser`] feeds it the reactor's non-blocking reads, and
+//! [`read_response`] runs it in a blocking read loop over a peer's
+//! answer. Its rules therefore exist once, for requests and responses
+//! alike: at most `MAX_LINE` bytes per head line and `MAX_HEADERS`
+//! headers per head (`431`, both checked as lines stream in), bodies
+//! framed by exactly one all-digit `Content-Length` (`400` otherwise)
+//! and capped before any body byte is buffered (`413`), and no chunked
+//! bodies (`411`). Anything else malformed is a `400`.
+//!
+//! Connections stay open after a response (the HTTP/1.1 default) unless
+//! the client sends `Connection: close`; an HTTP/1.0 client must ask
+//! with `Connection: keep-alive`. Responses are serialized by
+//! [`Response::write_to`].
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Read, Write};
 
-/// Longest accepted request/header line, in bytes.
+/// Longest accepted head line (start line or header), in bytes.
 const MAX_LINE: usize = 8 * 1024;
-/// Most headers accepted per request.
+/// Most headers accepted per head.
 const MAX_HEADERS: usize = 64;
+
+/// A framing violation: the status to answer with and why.
+type Violation = (u16, String);
+
+fn bad(status: u16, message: impl Into<String>) -> Violation {
+    (status, message.into())
+}
+
+/// Header lookup in a list whose names are stored lowercase; `name` may
+/// be in any case and is compared in place, not lowercased into a copy.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -22,6 +46,9 @@ pub struct Request {
     pub method: String,
     /// Path component only (query string stripped).
     pub path: String,
+    /// Whether the request line said `HTTP/1.0`, whose connections close
+    /// after one response unless the client asks to keep them open.
+    pub http10: bool,
     /// Header name/value pairs, names lowercased.
     pub headers: Vec<(String, String)>,
     /// Request body (empty unless `Content-Length` said otherwise).
@@ -31,127 +58,132 @@ pub struct Request {
 impl Request {
     /// Case-insensitive header lookup.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
-    /// Whether the client asked to keep the connection open after the
-    /// response (the HTTP/1.1 default).
+    /// Whether the connection stays open after the response: by default
+    /// for HTTP/1.1 unless the client sent `Connection: close`, and for
+    /// HTTP/1.0 only if it sent `Connection: keep-alive` (RFC 9112 §9.3).
     pub fn keep_alive(&self) -> bool {
-        !matches!(self.header("connection"), Some(v) if v.eq_ignore_ascii_case("close"))
-    }
-}
-
-/// Why reading a request failed.
-#[derive(Debug)]
-pub enum ReadError {
-    /// The peer closed the connection before sending a request line —
-    /// a normal end of a keep-alive session, not an error to report.
-    Closed,
-    /// Transport failure (includes read timeouts).
-    Io(io::Error),
-    /// The request violates the supported HTTP subset; respond with the
-    /// given status and message, then close.
-    Bad {
-        /// HTTP status to answer with (400, 411, 413, 431).
-        status: u16,
-        /// Human-readable reason, echoed into the error body.
-        message: String,
-    },
-}
-
-impl From<io::Error> for ReadError {
-    fn from(e: io::Error) -> Self {
-        ReadError::Io(e)
-    }
-}
-
-fn bad(status: u16, message: impl Into<String>) -> ReadError {
-    ReadError::Bad {
-        status,
-        message: message.into(),
-    }
-}
-
-/// Read one CRLF- (or LF-) terminated line, bounded by [`MAX_LINE`].
-fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, ReadError> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        let n = match reader.read(&mut byte) {
-            Ok(n) => n,
-            Err(e) => return Err(ReadError::Io(e)),
-        };
-        if n == 0 {
-            if line.is_empty() {
-                return Ok(None);
-            }
-            return Err(bad(400, "truncated request line"));
-        }
-        if byte[0] == b'\n' {
-            if line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            let s = String::from_utf8(line).map_err(|_| bad(400, "non-UTF-8 header data"))?;
-            return Ok(Some(s));
-        }
-        line.push(byte[0]);
-        if line.len() > MAX_LINE {
-            return Err(bad(431, "header line too long"));
+        match self.header("connection") {
+            Some(v) if v.eq_ignore_ascii_case("close") => false,
+            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
+            _ => !self.http10,
         }
     }
 }
 
-/// Parse a request line (`GET /path HTTP/1.1`) into a body-less
-/// [`Request`]. Shared by the blocking reader and the incremental
-/// parser so both reject malformed heads with identical statuses.
-fn parse_request_line(request_line: &str) -> Result<Request, ReadError> {
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| bad(400, "missing method"))?
-        .to_ascii_uppercase();
-    let target = parts
-        .next()
-        .ok_or_else(|| bad(400, "missing request target"))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| bad(400, "missing HTTP version"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(bad(400, format!("unsupported protocol '{version}'")));
-    }
-    // Strip the query string; latencyd routes on the path alone.
-    let path = target.split('?').next().unwrap_or(target).to_string();
-    Ok(Request {
-        method,
-        path,
-        headers: Vec::new(),
-        body: Vec::new(),
-    })
+/// A response parsed off the wire: the cluster client reads peer answers
+/// with the same framing core the server reads requests with.
+#[derive(Debug, Clone)]
+pub struct ParsedResponse {
+    /// Status code from the status line.
+    pub status: u16,
+    /// Header name/value pairs, names lowercased.
+    pub headers: Vec<(String, String)>,
+    /// Response body (`Content-Length`-framed; peers always send it).
+    pub body: Vec<u8>,
 }
 
-/// Parse one `Name: value` header line into the request (lowercased
-/// name, trimmed value), enforcing [`MAX_HEADERS`].
-fn push_header(req: &mut Request, line: &str) -> Result<(), ReadError> {
-    if req.headers.len() >= MAX_HEADERS {
-        return Err(bad(431, "too many headers"));
+impl ParsedResponse {
+    /// Case-insensitive header lookup.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        find_header(&self.headers, name)
     }
-    let (name, value) = line
-        .split_once(':')
-        .ok_or_else(|| bad(400, format!("malformed header line '{line}'")))?;
-    req.headers
-        .push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    Ok(())
 }
 
-/// Validate body framing for a parsed head: reject chunked transfer
-/// encoding (`411`) and bodies over `max_body` (`413`); return the
-/// declared `Content-Length` (0 when absent).
-fn body_length(req: &Request, max_body: usize) -> Result<usize, ReadError> {
-    if let Some(te) = req.header("transfer-encoding") {
+/// What the framing core needs from the message it frames: how its start
+/// line parses, and whether it may omit `Content-Length`.
+trait Message: Sized {
+    /// Whether a head without `Content-Length` is refused (a peer
+    /// response, which could otherwise only end at EOF and would let a
+    /// stalled peer pin the caller past its read timeout) rather than
+    /// framed with an empty body (a request).
+    const LENGTH_REQUIRED: bool;
+
+    /// Parse the start line into a message with no headers or body yet.
+    fn start(line: &str) -> Result<Self, Violation>;
+
+    /// The header list and body the core fills in.
+    fn parts(&mut self) -> (&mut Vec<(String, String)>, &mut Vec<u8>);
+}
+
+impl Message for Request {
+    const LENGTH_REQUIRED: bool = false;
+
+    fn start(line: &str) -> Result<Request, Violation> {
+        if line.is_empty() {
+            return Err(bad(400, "empty request line"));
+        }
+        let mut parts = line.split_whitespace();
+        let method = parts
+            .next()
+            .ok_or_else(|| bad(400, "missing method"))?
+            .to_ascii_uppercase();
+        let target = parts
+            .next()
+            .ok_or_else(|| bad(400, "missing request target"))?;
+        let version = parts
+            .next()
+            .ok_or_else(|| bad(400, "missing HTTP version"))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(bad(400, format!("unsupported protocol '{version}'")));
+        }
+        // Strip the query string; latencyd routes on the path alone.
+        let path = target.split('?').next().unwrap_or(target).to_string();
+        Ok(Request {
+            method,
+            path,
+            http10: version == "HTTP/1.0",
+            headers: Vec::new(),
+            body: Vec::new(),
+        })
+    }
+
+    fn parts(&mut self) -> (&mut Vec<(String, String)>, &mut Vec<u8>) {
+        (&mut self.headers, &mut self.body)
+    }
+}
+
+impl Message for ParsedResponse {
+    const LENGTH_REQUIRED: bool = true;
+
+    fn start(line: &str) -> Result<ParsedResponse, Violation> {
+        let mut parts = line.split_whitespace();
+        let version = parts
+            .next()
+            .ok_or_else(|| bad(400, "missing HTTP version in status line"))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(bad(400, format!("unsupported protocol '{version}'")));
+        }
+        let status = parts
+            .next()
+            .and_then(|s| s.parse::<u16>().ok())
+            .ok_or_else(|| bad(400, "missing status code"))?;
+        Ok(ParsedResponse {
+            status,
+            headers: Vec::new(),
+            body: Vec::new(),
+        })
+    }
+
+    fn parts(&mut self) -> (&mut Vec<(String, String)>, &mut Vec<u8>) {
+        (&mut self.headers, &mut self.body)
+    }
+}
+
+/// The body length a complete head declares. `Transfer-Encoding` other
+/// than `identity` is refused (`411`). `Content-Length` may appear at
+/// most once — any repeat, even of the same value, is a framing error
+/// (`400`, RFC 9112 §6.3), so two parsers can never disagree about where
+/// a body ends — and must be all ASCII digits (`400`). A length over
+/// `max_body` is a `413`, decided before any body byte is buffered.
+fn body_length(
+    headers: &[(String, String)],
+    max_body: usize,
+    required: bool,
+) -> Result<usize, Violation> {
+    if let Some(te) = find_header(headers, "transfer-encoding") {
         if !te.eq_ignore_ascii_case("identity") {
             return Err(bad(
                 411,
@@ -159,51 +191,154 @@ fn body_length(req: &Request, max_body: usize) -> Result<usize, ReadError> {
             ));
         }
     }
-    let content_length = match req.header("content-length") {
-        Some(v) => v
+    let mut lengths = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    let length = match (lengths.next(), lengths.next()) {
+        (Some(_), Some(_)) => return Err(bad(400, "repeated Content-Length")),
+        (Some(v), None) => v
             .parse::<usize>()
-            .map_err(|_| bad(400, format!("invalid Content-Length '{v}'")))?,
-        None => 0,
+            .ok()
+            .filter(|_| v.bytes().all(|b| b.is_ascii_digit()))
+            .ok_or_else(|| bad(400, format!("invalid Content-Length '{v}'")))?,
+        (None, _) if required => return Err(bad(400, "peer response has no Content-Length")),
+        (None, _) => 0,
     };
-    if content_length > max_body {
+    if length > max_body {
         return Err(bad(
             413,
-            format!("body of {content_length} bytes exceeds the {max_body}-byte limit"),
+            format!("body of {length} bytes exceeds the {max_body}-byte limit"),
         ));
     }
-    Ok(content_length)
+    Ok(length)
 }
 
-/// Read and parse one request from the stream. `max_body` caps the
-/// accepted `Content-Length`.
-pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, ReadError> {
-    let request_line = match read_line(reader)? {
-        None => return Err(ReadError::Closed),
-        Some(l) if l.is_empty() => return Err(bad(400, "empty request line")),
-        Some(l) => l,
-    };
-    let mut req = parse_request_line(&request_line)?;
-    loop {
-        let line = read_line(reader)?.ok_or_else(|| bad(400, "truncated headers"))?;
-        if line.is_empty() {
-            break;
+/// The framing core: buffers bytes and frames one message of type `M`
+/// at a time. Partial heads and bodies persist across [`Framer::feed`]
+/// calls, so a message may arrive one byte at a time. Head lines are
+/// bounded as they stream in, so a slow stream of overlong lines or
+/// endless short header lines is refused as soon as a limit is crossed,
+/// not when the head completes.
+#[derive(Debug)]
+struct Framer<M> {
+    max_body: usize,
+    buf: Vec<u8>,
+    /// Byte offset scanned for the head terminator so far.
+    scanned: usize,
+    /// Offset where the current (unterminated) head line began.
+    line_start: usize,
+    /// Completed lines of the in-progress head, start line included.
+    head_lines: usize,
+    /// Parsed head waiting for its body: the message, the head's length
+    /// in `buf` (blank line included), and the body length.
+    head: Option<(M, usize, usize)>,
+    /// Terminal violation, replayed on every later poll: past it the
+    /// stream offset is no longer trustworthy.
+    failed: Option<Violation>,
+}
+
+impl<M: Message> Framer<M> {
+    fn new(max_body: usize) -> Framer<M> {
+        Framer {
+            max_body,
+            buf: Vec::new(),
+            scanned: 0,
+            line_start: 0,
+            head_lines: 0,
+            head: None,
+            failed: None,
         }
-        push_header(&mut req, &line)?;
     }
 
-    let content_length = body_length(&req, max_body)?;
-    if content_length > 0 {
-        let mut body = vec![0u8; content_length];
-        io::Read::read_exact(reader, &mut body).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                bad(400, "body shorter than Content-Length")
-            } else {
-                ReadError::Io(e)
-            }
-        })?;
-        req.body = body;
+    fn feed(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
-    Ok(req)
+
+    /// Whether part of a message is buffered.
+    fn mid_message(&self) -> bool {
+        self.head.is_some() || !self.buf.is_empty()
+    }
+
+    /// Frame the next message from the buffered bytes; `Ok(None)` means
+    /// more bytes are needed. Leftover (pipelined) bytes stay buffered.
+    fn poll(&mut self) -> Result<Option<M>, Violation> {
+        if let Some(failed) = &self.failed {
+            return Err(failed.clone());
+        }
+        let polled = self.advance();
+        if let Err(violation) = &polled {
+            self.failed = Some(violation.clone());
+        }
+        polled
+    }
+
+    fn advance(&mut self) -> Result<Option<M>, Violation> {
+        if self.head.is_none() {
+            // Scan unexamined bytes for the end-of-head blank line,
+            // bounding each line as it streams in.
+            while self.scanned < self.buf.len() {
+                if self.buf[self.scanned] != b'\n' {
+                    self.scanned += 1;
+                    if self.scanned - self.line_start > MAX_LINE {
+                        return Err(bad(431, "header line too long"));
+                    }
+                    continue;
+                }
+                let mut line_end = self.scanned;
+                if line_end > self.line_start && self.buf[line_end - 1] == b'\r' {
+                    line_end -= 1;
+                }
+                if line_end == self.line_start {
+                    // Blank line: the head is complete.
+                    self.parse_head(self.scanned + 1)?;
+                    break;
+                }
+                self.scanned += 1;
+                self.line_start = self.scanned;
+                // The start line is head line 1, so the 65th header line
+                // is refused the moment it completes.
+                self.head_lines += 1;
+                if self.head_lines > MAX_HEADERS + 1 {
+                    return Err(bad(431, "too many headers"));
+                }
+            }
+        }
+        match self.head.take() {
+            Some((mut msg, head_len, body_len)) if self.buf.len() >= head_len + body_len => {
+                let end = head_len + body_len;
+                *msg.parts().1 = self.buf[head_len..end].to_vec();
+                self.buf.drain(..end);
+                self.scanned = 0;
+                self.line_start = 0;
+                self.head_lines = 0;
+                Ok(Some(msg))
+            }
+            waiting => {
+                self.head = waiting;
+                Ok(None)
+            }
+        }
+    }
+
+    /// Parse the complete head occupying `buf[..head_len]`. The scanner
+    /// has already bounded its line lengths and header count.
+    fn parse_head(&mut self, head_len: usize) -> Result<(), Violation> {
+        let head = std::str::from_utf8(&self.buf[..head_len])
+            .map_err(|_| bad(400, "non-UTF-8 header data"))?;
+        let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
+        let mut msg = M::start(lines.next().unwrap_or(""))?;
+        let (headers, _) = msg.parts();
+        for line in lines.take_while(|l| !l.is_empty()) {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| bad(400, format!("malformed header line '{line}'")))?;
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        }
+        let body_len = body_length(headers, self.max_body, M::LENGTH_REQUIRED)?;
+        self.head = Some((msg, head_len, body_len));
+        Ok(())
+    }
 }
 
 /// Outcome of [`RequestParser::poll`].
@@ -229,52 +364,29 @@ pub enum ParseStatus {
 /// The reactor feeds whatever bytes a readiness poll produced and polls
 /// for a complete request; partial heads and bodies persist across
 /// calls, so a request may arrive one byte at a time without holding a
-/// thread. Enforces the same limits as [`read_request`] — [`MAX_LINE`]
-/// per header line and [`MAX_HEADERS`] per head (both checked
-/// incrementally, so a slow-loris stream of overlong lines or endless
-/// short header lines is rejected as soon as the limit is crossed, not
-/// when the head completes), and the `max_body` cap (checked at head
-/// completion, before any body byte is buffered).
+/// thread. It is the framing core (see the module docs for its limits)
+/// with a request line as the head's first line.
 #[derive(Debug)]
 pub struct RequestParser {
-    max_body: usize,
-    buf: Vec<u8>,
-    /// Byte offset scanned for the head terminator so far.
-    scanned: usize,
-    /// Offset where the current (unterminated) header line began.
-    line_start: usize,
-    /// Completed head lines (request line included) for the in-progress
-    /// head; bounds header count before the head terminator arrives.
-    head_lines: usize,
-    /// Parsed head waiting for `content_length` body bytes; `usize` is
-    /// the total head length in `buf` (request line + headers + blank).
-    head: Option<(Request, usize, usize)>,
-    /// Terminal parse failure, replayed on every later poll.
-    failed: Option<(u16, String)>,
+    framer: Framer<Request>,
 }
 
 impl RequestParser {
     /// A fresh parser; `max_body` caps the accepted `Content-Length`.
     pub fn new(max_body: usize) -> RequestParser {
         RequestParser {
-            max_body,
-            buf: Vec::new(),
-            scanned: 0,
-            line_start: 0,
-            head_lines: 0,
-            head: None,
-            failed: None,
+            framer: Framer::new(max_body),
         }
     }
 
     /// Buffer bytes read off the socket.
     pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.framer.feed(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a completed request.
     pub fn buffered_len(&self) -> usize {
-        self.buf.len()
+        self.framer.buf.len()
     }
 
     /// Ceiling on buffered bytes the owner should tolerate while it is
@@ -284,209 +396,68 @@ impl RequestParser {
     /// backpressure hold further bytes in the kernel — exactly where a
     /// blocking front end would have left them.
     pub fn pipeline_cap(&self) -> usize {
-        self.max_body + 2 * MAX_LINE
+        self.framer.max_body + 2 * MAX_LINE
     }
 
     /// Whether a partial request is buffered — distinguishes a peer
     /// that went away mid-request (report `400`) from one that closed
     /// cleanly between requests (silent close).
     pub fn mid_request(&self) -> bool {
-        self.head.is_some() || !self.buf.is_empty()
+        self.framer.mid_message()
     }
 
     /// Try to complete one request from the buffered bytes.
     pub fn poll(&mut self) -> ParseStatus {
-        if let Some((status, message)) = &self.failed {
-            return ParseStatus::Bad {
-                status: *status,
-                message: message.clone(),
-            };
+        match self.framer.poll() {
+            Ok(Some(req)) => ParseStatus::Ready(req),
+            Ok(None) => ParseStatus::Pending,
+            Err((status, message)) => ParseStatus::Bad { status, message },
         }
-        match self.advance() {
-            Ok(status) => status,
-            Err(ReadError::Bad { status, message }) => {
-                self.failed = Some((status, message.clone()));
-                ParseStatus::Bad { status, message }
-            }
-            // The incremental path never does I/O and never observes a
-            // clean close; fold the impossible variants into a 400.
-            Err(_) => {
-                self.failed = Some((400, "malformed request".into()));
-                ParseStatus::Bad {
-                    status: 400,
-                    message: "malformed request".into(),
-                }
-            }
-        }
-    }
-
-    fn advance(&mut self) -> Result<ParseStatus, ReadError> {
-        if self.head.is_none() {
-            // Scan unexamined bytes for the end-of-head blank line,
-            // bounding each line as it streams in.
-            while self.scanned < self.buf.len() {
-                let b = self.buf[self.scanned];
-                if b == b'\n' {
-                    let mut line_end = self.scanned;
-                    if line_end > self.line_start && self.buf[line_end - 1] == b'\r' {
-                        line_end -= 1;
-                    }
-                    if line_end == self.line_start {
-                        // Blank line: the head is complete.
-                        let head_len = self.scanned + 1;
-                        self.parse_head(head_len)?;
-                        break;
-                    }
-                    self.scanned += 1;
-                    self.line_start = self.scanned;
-                    // Bound the header count as lines complete (the
-                    // request line is head_lines == 1), mirroring the
-                    // blocking reader's rejection of the 65th header —
-                    // an endless stream of short header lines must not
-                    // buffer until some outer timeout fires.
-                    self.head_lines += 1;
-                    if self.head_lines > MAX_HEADERS + 1 {
-                        return Err(bad(431, "too many headers"));
-                    }
-                } else {
-                    self.scanned += 1;
-                    if self.scanned - self.line_start > MAX_LINE {
-                        return Err(bad(431, "header line too long"));
-                    }
-                }
-            }
-        }
-        let Some((_, head_len, content_length)) = self.head.as_ref() else {
-            return Ok(ParseStatus::Pending);
-        };
-        let (head_len, content_length) = (*head_len, *content_length);
-        if self.buf.len() < head_len + content_length {
-            return Ok(ParseStatus::Pending);
-        }
-        // lt-lint: allow(LT01, invariant: head is Some on this path, checked above)
-        let (mut req, _, _) = self.head.take().expect("head parsed");
-        req.body = self.buf[head_len..head_len + content_length].to_vec();
-        self.buf.drain(..head_len + content_length);
-        self.scanned = 0;
-        self.line_start = 0;
-        self.head_lines = 0;
-        Ok(ParseStatus::Ready(req))
-    }
-
-    /// Parse the complete head occupying `buf[..head_len]`.
-    fn parse_head(&mut self, head_len: usize) -> Result<(), ReadError> {
-        let head = std::str::from_utf8(&self.buf[..head_len])
-            .map_err(|_| bad(400, "non-UTF-8 header data"))?;
-        let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-        let request_line = lines.next().unwrap_or("");
-        if request_line.is_empty() {
-            return Err(bad(400, "empty request line"));
-        }
-        let mut req = parse_request_line(request_line)?;
-        for line in lines {
-            if line.is_empty() {
-                break;
-            }
-            push_header(&mut req, line)?;
-        }
-        let content_length = body_length(&req, self.max_body)?;
-        self.head = Some((req, head_len, content_length));
-        Ok(())
     }
 }
 
-/// A response parsed off the wire (the cluster forwarding client reads
-/// peer answers with the same bounded parser the server uses for
-/// requests).
-#[derive(Debug, Clone)]
-pub struct ParsedResponse {
-    /// Status code from the status line.
-    pub status: u16,
-    /// Header name/value pairs, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// Response body (`Content-Length`-framed; peers always send it).
-    pub body: Vec<u8>,
+/// Why reading a response failed.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The peer closed the connection before sending a byte.
+    Closed,
+    /// Transport failure (includes read timeouts).
+    Io(io::Error),
+    /// The response violates the supported HTTP subset, or the peer
+    /// closed the connection partway through it.
+    Bad {
+        /// The status a request with the same fault would be answered with.
+        status: u16,
+        /// Human-readable reason.
+        message: String,
+    },
 }
 
-impl ParsedResponse {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Read and parse one response from the stream. `max_body` caps the
-/// accepted `Content-Length`; responses without one (latencyd never
-/// sends any) are rejected rather than read-to-EOF, so a stalled peer
-/// cannot pin the caller past its read timeout.
-pub fn read_response(
-    reader: &mut impl BufRead,
-    max_body: usize,
-) -> Result<ParsedResponse, ReadError> {
-    let status_line = match read_line(reader)? {
-        None => return Err(ReadError::Closed),
-        Some(l) if l.is_empty() => return Err(bad(400, "empty status line")),
-        Some(l) => l,
-    };
-    let mut parts = status_line.split_whitespace();
-    let version = parts
-        .next()
-        .ok_or_else(|| bad(400, "missing HTTP version in status line"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(bad(400, format!("unsupported protocol '{version}'")));
-    }
-    let status = parts
-        .next()
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad(400, "missing status code"))?;
-
-    let mut headers = Vec::new();
+/// Read one response from a blocking stream: the framing core in a read
+/// loop, with a status line as the head's first line. `max_body` caps
+/// the accepted `Content-Length`.
+pub fn read_response(reader: &mut impl Read, max_body: usize) -> Result<ParsedResponse, ReadError> {
+    let mut framer = Framer::<ParsedResponse>::new(max_body);
+    let mut chunk = [0u8; 8 * 1024];
     loop {
-        let line = read_line(reader)?.ok_or_else(|| bad(400, "truncated headers"))?;
-        if line.is_empty() {
-            break;
+        match framer.poll() {
+            Ok(Some(resp)) => return Ok(resp),
+            Ok(None) => {}
+            Err((status, message)) => return Err(ReadError::Bad { status, message }),
         }
-        if headers.len() >= MAX_HEADERS {
-            return Err(bad(431, "too many headers"));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad(400, format!("malformed header line '{line}'")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let mut resp = ParsedResponse {
-        status,
-        headers,
-        body: Vec::new(),
-    };
-    let content_length = resp
-        .header("content-length")
-        .ok_or_else(|| bad(400, "peer response has no Content-Length"))?
-        .parse::<usize>()
-        .map_err(|_| bad(400, "invalid Content-Length in peer response"))?;
-    if content_length > max_body {
-        return Err(bad(
-            413,
-            format!("peer body of {content_length} bytes exceeds the {max_body}-byte limit"),
-        ));
-    }
-    if content_length > 0 {
-        let mut body = vec![0u8; content_length];
-        io::Read::read_exact(reader, &mut body).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                bad(400, "peer body shorter than Content-Length")
-            } else {
-                ReadError::Io(e)
+        match reader.read(&mut chunk) {
+            Ok(0) if framer.mid_message() => {
+                return Err(ReadError::Bad {
+                    status: 400,
+                    message: "peer closed the connection mid-response".into(),
+                })
             }
-        })?;
-        resp.body = body;
+            Ok(0) => return Err(ReadError::Closed),
+            Ok(n) => framer.feed(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(ReadError::Io(e)),
+        }
     }
-    Ok(resp)
 }
 
 /// An HTTP response ready for serialization.
@@ -578,79 +549,65 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
 
-    fn parse(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+    /// Feed `raw` to a fresh parser in one piece and poll once.
+    fn parse(raw: &str) -> ParseStatus {
+        let mut parser = RequestParser::new(1024);
+        parser.feed(raw.as_bytes());
+        parser.poll()
+    }
+
+    fn ready(raw: &str) -> Request {
+        match parse(raw) {
+            ParseStatus::Ready(req) => req,
+            other => panic!("expected Ready for {raw:?}, got {other:?}"),
+        }
     }
 
     #[test]
-    fn parses_get_request() {
-        let req = parse("GET /healthz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    fn parses_heads_and_bodies() {
+        let req = ready("GET /healthz?verbose=1 HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz", "query string stripped");
-        assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.header("Host"), Some("x"), "lookup ignores case");
         assert!(req.keep_alive());
         assert!(req.body.is_empty());
-    }
 
-    #[test]
-    fn parses_post_with_body() {
-        let req = parse(
+        let req = ready(
             "POST /v1/solve HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
-        )
-        .unwrap();
+        );
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"{\"a\":1}");
+
+        let req = ready("GET /metrics HTTP/1.1\nHost: y\n\n");
+        assert_eq!(req.path, "/metrics", "LF-only line endings accepted");
+        assert_eq!(req.header("host"), Some("y"));
     }
 
     #[test]
-    fn connection_close_is_honored() {
-        let req = parse("GET / HTTP/1.1\r\nConnection: Close\r\n\r\n").unwrap();
-        assert!(!req.keep_alive());
-    }
-
-    #[test]
-    fn lf_only_line_endings_accepted() {
-        let req = parse("GET /metrics HTTP/1.1\nHost: y\n\n").unwrap();
-        assert_eq!(req.path, "/metrics");
-    }
-
-    #[test]
-    fn eof_before_request_is_clean_close() {
-        assert!(matches!(parse(""), Err(ReadError::Closed)));
-    }
-
-    #[test]
-    fn rejects_malformed_requests() {
-        for (raw, want_status) in [
-            ("GARBAGE\r\n\r\n", 400),
-            ("GET /x SPDY/3\r\n\r\n", 400),
-            ("GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n", 400),
-            ("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
-            ("POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 413),
-            (
-                "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
-                411,
-            ),
-            ("POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nab", 400),
+    fn keep_alive_follows_the_version_and_connection_header() {
+        for (raw, want) in [
+            ("GET / HTTP/1.1\r\n\r\n", true),
+            ("GET / HTTP/1.1\r\nConnection: Close\r\n\r\n", false),
+            ("GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", true),
+            ("GET / HTTP/1.0\r\n\r\n", false),
+            ("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", true),
+            ("GET / HTTP/1.0\r\nConnection: close\r\n\r\n", false),
         ] {
-            match parse(raw) {
-                Err(ReadError::Bad { status, .. }) => {
-                    assert_eq!(status, want_status, "for {raw:?}")
-                }
-                other => panic!("expected Bad for {raw:?}, got {other:?}"),
-            }
+            assert_eq!(ready(raw).keep_alive(), want, "for {raw:?}");
         }
     }
 
     #[test]
-    fn rejects_oversized_header_line() {
-        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 10));
-        match parse(&raw) {
-            Err(ReadError::Bad { status, .. }) => assert_eq!(status, 431),
-            other => panic!("expected 431, got {other:?}"),
-        }
+    fn mid_request_separates_a_clean_close_from_a_truncated_request() {
+        let mut parser = RequestParser::new(1024);
+        assert!(matches!(parser.poll(), ParseStatus::Pending));
+        assert!(!parser.mid_request(), "EOF here is a clean close");
+        parser.feed(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nab");
+        assert!(matches!(parser.poll(), ParseStatus::Pending));
+        assert!(parser.mid_request(), "EOF here is a truncated request");
     }
 
     #[test]
@@ -693,7 +650,7 @@ mod tests {
             .with_retry_after(2)
             .write_to(&mut out)
             .unwrap();
-        let resp = read_response(&mut BufReader::new(out.as_slice()), 1024).unwrap();
+        let resp = read_response(&mut out.as_slice(), 1024).unwrap();
         assert_eq!(resp.status, 429);
         assert_eq!(resp.header("retry-after"), Some("2"));
         assert_eq!(resp.body, b"{\"ok\":false}");
@@ -702,7 +659,7 @@ mod tests {
     #[test]
     fn response_parser_rejects_unframed_bodies() {
         let raw = "HTTP/1.1 200 OK\r\n\r\nstuff";
-        match read_response(&mut BufReader::new(raw.as_bytes()), 1024) {
+        match read_response(&mut raw.as_bytes(), 1024) {
             Err(ReadError::Bad { status, message }) => {
                 assert_eq!(status, 400);
                 assert!(message.contains("Content-Length"), "{message}");
@@ -712,7 +669,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_matches_blocking_reader_byte_at_a_time() {
+    fn incremental_parser_completes_on_the_last_byte() {
         let raw = "POST /v1/solve HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: 7\r\n\r\n{\"a\":1}";
         let mut parser = RequestParser::new(1024);
         for (i, b) in raw.as_bytes().iter().enumerate() {
@@ -756,18 +713,34 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parser_rejects_like_the_blocking_reader() {
+    fn incremental_parser_rejects_malformed_heads() {
+        let long_line = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 10));
         for (raw, want_status) in [
             ("GARBAGE\r\n\r\n", 400),
             ("\r\n", 400),
             ("GET /x SPDY/3\r\n\r\n", 400),
             ("GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n", 400),
             ("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n", 400),
+            ("POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", 400),
+            ("POST /x HTTP/1.1\r\nContent-Length: 2, 2\r\n\r\n{}", 400),
+            ("POST /x HTTP/1.1\r\nContent-Length: \r\n\r\n", 400),
+            (
+                "POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+                400,
+            ),
+            // Were the first length to win, the rest would parse as a
+            // second, smuggled request.
+            (
+                "POST /v1/solve HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 30\r\n\r\n\
+                 {}GET /smuggled HTTP/1.1\r\n\r\n",
+                400,
+            ),
             ("POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 413),
             (
                 "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
                 411,
             ),
+            (long_line.as_str(), 431),
         ] {
             let mut parser = RequestParser::new(1024);
             parser.feed(raw.as_bytes());
@@ -806,8 +779,8 @@ mod tests {
         let mut parser = RequestParser::new(1024);
         parser.feed(b"GET /x HTTP/1.1\r\n");
         // Stream endless short header lines, never a blank terminator:
-        // rejection must come at the 65th header line, exactly where the
-        // blocking reader rejects, not at some outer timeout.
+        // rejection must come at the 65th header line, not at some outer
+        // timeout.
         let mut rejected_at = None;
         for i in 0..MAX_HEADERS + 8 {
             parser.feed(format!("X-H{i}: v\r\n").as_bytes());
@@ -859,15 +832,83 @@ mod tests {
         }
     }
 
+    /// Serve `chunks` to one client over loopback, pausing between them
+    /// so each lands in its own read, and read the answer with a
+    /// 1024-byte body cap. The server then closes, or with `hold` keeps
+    /// the socket open until the client hangs up, so only a reader that
+    /// decided without waiting for more bytes returns promptly.
+    fn read_chunked(chunks: &[&str], hold: bool) -> Result<ParsedResponse, ReadError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let chunks: Vec<Vec<u8>> = chunks.iter().map(|c| c.as_bytes().to_vec()).collect();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            s.set_nodelay(true).unwrap();
+            for chunk in chunks {
+                s.write_all(&chunk).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            if hold {
+                let _ = s.read(&mut [0u8; 1]);
+            }
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let result = read_response(&mut client, 1024);
+        drop(client);
+        server.join().unwrap();
+        result
+    }
+
+    fn bad_status(result: Result<ParsedResponse, ReadError>) -> u16 {
+        match result {
+            Err(ReadError::Bad { status, .. }) => status,
+            other => panic!("expected Bad, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn two_requests_on_one_connection() {
-        let raw = "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(raw.as_bytes());
-        assert_eq!(read_request(&mut reader, 1024).unwrap().path, "/a");
-        assert_eq!(read_request(&mut reader, 1024).unwrap().path, "/b");
-        assert!(matches!(
-            read_request(&mut reader, 1024),
-            Err(ReadError::Closed)
-        ));
+    fn response_reader_frames_a_chunked_socket_stream() {
+        let resp = read_chunked(
+            &[
+                "HTT",
+                "P/1.1 200 OK\r\nContent-",
+                "Length: 11\r\nX-Peer: b\r",
+                "\n\r\n{\"ok\"",
+                ":true}",
+            ],
+            false,
+        )
+        .unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("X-Peer"), Some("b"));
+        assert_eq!(resp.body, b"{\"ok\":true}");
+
+        assert!(
+            matches!(read_chunked(&[], false), Err(ReadError::Closed)),
+            "EOF before the first byte is a transport error"
+        );
+        let eof_mid_body = read_chunked(
+            &[
+                "HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n",
+                "{\"partial\"",
+            ],
+            false,
+        );
+        assert_eq!(bad_status(eof_mid_body), 400);
+        let unframed = read_chunked(&["HTTP/1.1 200 OK\r\n", "\r\n"], true);
+        assert_eq!(bad_status(unframed), 400);
+
+        // Refused at head completion, with the socket still open and no
+        // body byte sent: a reader that waited for the body would time out.
+        let over_cap = read_chunked(&["HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n"], true);
+        assert_eq!(bad_status(over_cap), 413);
+        let headers: String = (0..=MAX_HEADERS)
+            .map(|i| format!("X-H{i}: v\r\n"))
+            .collect();
+        let too_many = read_chunked(&["HTTP/1.1 200 OK\r\n", &headers], true);
+        assert_eq!(bad_status(too_many), 431);
     }
 }

@@ -44,8 +44,9 @@
 //! `TcpListener` — the service adds no dependencies), [`reactor`] the
 //! readiness-polled connection front end (a few I/O threads own every
 //! accepted socket, so thousands of idle keep-alive connections cost no
-//! extra threads), [`api`] the request schemas, [`server`] the accept
-//! loop and endpoint dispatch, and `src/bin/latencyd.rs` the binary.
+//! extra threads), [`api`] the request schemas and error answers,
+//! [`server`] the accept loop and the route table, and
+//! `src/bin/latencyd.rs` the binary.
 //!
 //! ## Endpoints
 //!

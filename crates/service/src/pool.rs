@@ -377,7 +377,7 @@ struct HandlerShared {
 /// latency sleeps — is offloaded here. Unlike [`WorkerPool`] (fixed
 /// size, sized to CPUs, runs compute), this pool is *elastic*: threads
 /// are spawned only when a job arrives and no thread is idle, parked
-/// threads retire after [`HANDLER_IDLE_PARK`], and growth is capped so
+/// threads retire after `HANDLER_IDLE_PARK`, and growth is capped so
 /// a request flood degrades into queueing (and admission-control sheds)
 /// rather than thread explosion. Thread count tracks *active* requests,
 /// which admission control already bounds — connection count no longer

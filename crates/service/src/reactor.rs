@@ -23,12 +23,12 @@
 //! ```
 //!
 //! * **Idle/Reading** — bytes are fed to the resumable
-//!   [`RequestParser`]; a complete request is routed by
-//!   [`crate::server::route`]. Non-blocking endpoints (healthz,
-//!   metrics, cluster introspection, hint delivery) are answered inline
-//!   on the reactor thread; anything that can block (solves waiting on
-//!   deadlines, cluster forwards, injected latency) is offloaded to the
-//!   elastic handler pool.
+//!   [`RequestParser`]; a complete request is routed through the
+//!   server's route table (`server::route`). Inline endpoints (healthz,
+//!   metrics, cluster introspection, hint delivery, and the 404/405 of a
+//!   table miss) are answered on the reactor thread; blocking ones
+//!   (solves waiting on deadlines, cluster forwards) and any request
+//!   with injected latency are offloaded to the elastic handler pool.
 //! * **Dispatched** — a handler thread owns the request. The reactor
 //!   keeps watching the socket for EOF (half-close: the response is
 //!   still delivered) and for pipelined bytes, which buffer up to the
@@ -63,7 +63,7 @@
 //! Dispatched connections are exempt — the handler's own request
 //! deadline (already capped) bounds them, with a generous hard cap as
 //! the safety net, and an abandoned dispatch answers `503` through
-//! [`Completion`]'s drop guard rather than leaking the connection.
+//! `Completion`'s drop guard rather than leaking the connection.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -151,15 +151,11 @@ impl Drop for Completion {
         if self.sent {
             return;
         }
-        let err = ApiError {
-            status: 503,
-            kind: "internal".into(),
-            message: "request was dropped before a handler could run it".into(),
-        };
+        let err = ApiError::unavailable("request was dropped before a handler could run it");
         // lt-lint: allow(LT07, best effort: the shard only disappears during shutdown, when the connection is already gone)
         let _ = self.tx.send(ReactorMsg::Complete {
             token: self.token,
-            resp: Response::json(err.status, err.body()).with_close(),
+            resp: Response::from(err).with_close(),
         });
     }
 }
@@ -493,21 +489,7 @@ fn pump_conn(
             // structured 408, never a parked thread.
             if let Some(started) = conn.request_started {
                 if now.duration_since(started) > state.idle_timeout() {
-                    state.metrics.record_error("", "timeout");
-                    let err = ApiError {
-                        status: 408,
-                        kind: "timeout".into(),
-                        message: format!(
-                            "request stalled mid-transfer beyond the {}ms idle timeout",
-                            state.idle_timeout().as_millis()
-                        ),
-                    };
-                    begin_write(
-                        state,
-                        conn,
-                        Response::json(err.status, err.body()).with_close(),
-                    );
-                    return pump_conn_write(state, conn);
+                    return reject(state, conn, ApiError::stalled(state.idle_timeout()));
                 }
             } else if now.duration_since(conn.last_activity) > state.idle_timeout() {
                 // A quiet keep-alive connection past its welcome closes
@@ -612,21 +594,9 @@ fn advance_requests(
             ParseStatus::Pending => {
                 if conn.peer_eof {
                     if conn.parser.mid_request() {
-                        // The peer vanished mid-request: the blocking
-                        // reader closed silently here; the reactor
-                        // makes the refusal visible first.
-                        state.metrics.record_error("", "bad_request");
-                        let err = ApiError {
-                            status: 400,
-                            kind: "bad_request".into(),
-                            message: "truncated request".into(),
-                        };
-                        begin_write(
-                            state,
-                            conn,
-                            Response::json(err.status, err.body()).with_close(),
-                        );
-                        return pump_conn_write(state, conn);
+                        // The peer vanished mid-request: make the refusal
+                        // visible before closing.
+                        return reject(state, conn, ApiError::bad_request("truncated request"));
                     }
                     // No complete request is coming anymore.
                     return Step::Close;
@@ -670,21 +640,18 @@ fn advance_requests(
                 }
             }
             ParseStatus::Bad { status, message } => {
-                state.metrics.record_error("", "bad_request");
-                let err = ApiError {
-                    status,
-                    kind: "bad_request".into(),
-                    message,
-                };
-                begin_write(
-                    state,
-                    conn,
-                    Response::json(err.status, err.body()).with_close(),
-                );
-                return pump_conn_write(state, conn);
+                return reject(state, conn, ApiError::rejected(status, message));
             }
         }
     }
+}
+
+/// Answer a request the reactor refuses itself (stalled, truncated, or
+/// malformed) with a structured error, counted by kind, then close.
+fn reject(state: &ServiceState, conn: &mut Conn, err: ApiError) -> Step {
+    state.metrics.record_error("", &err.kind);
+    begin_write(state, conn, Response::from(err).with_close());
+    pump_conn_write(state, conn)
 }
 
 /// Serialize `resp` into the connection's write buffer and enter the

@@ -1,6 +1,7 @@
 //! The `latencyd` server: a TCP accept loop, a readiness-polled
-//! connection reactor, and the dispatch of the five endpoints onto the
-//! solve worker pool, the solution cache, and the metrics registry.
+//! connection reactor, and one route table (`ROUTES`) that sends each
+//! endpoint to the solve worker pool, the solution cache, and the
+//! metrics registry.
 //!
 //! Threading model: `--io-threads` reactor threads (default 2) own every
 //! accepted socket, doing non-blocking I/O and parsing only — see
@@ -359,10 +360,9 @@ impl Server {
 fn refuse(stream: TcpStream) {
     // lt-lint: allow(LT07, best effort: the refusal itself is already the failure path)
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let err = service_unavailable();
     let mut w = &stream;
     // lt-lint: allow(LT07, best effort: the connection closes right here either way)
-    let _ = Response::json(err.status, err.body())
+    let _ = Response::from(service_unavailable())
         .with_close()
         .write_to(&mut w);
 }
@@ -477,20 +477,118 @@ pub(crate) enum Routed {
     Drop,
 }
 
-/// Whether this request may block its thread (pool waits, cluster
-/// forwards): these never run inline on the reactor.
-fn needs_offload(req: &Request) -> bool {
-    req.method == "POST"
-        && matches!(
-            req.path.as_str(),
-            "/v1/solve" | "/v1/sweep" | "/v1/tolerance"
-        )
+/// Endpoints that never block — no pool waits, no peer I/O, no sleeps —
+/// so the reactor answers them itself. The last two are no table row's
+/// endpoint: they answer a request that misses the table.
+#[derive(Debug, Clone, Copy)]
+enum Inline {
+    Healthz,
+    Metrics,
+    ClusterPing,
+    ClusterMembers,
+    ClusterHint,
+    /// No row has the path: `404`.
+    NotFound,
+    /// The path's row wants this other method: `405`.
+    WrongMethod(&'static str),
 }
 
-/// Route one parsed request from a reactor thread: answer the
-/// non-blocking endpoints inline, shed over-admission immediately, and
-/// offload everything that can block to the handler pool (which replies
-/// through `done`).
+/// Endpoints that wait on the worker pool or a peer: they always run on
+/// a handler thread, behind admission control.
+#[derive(Debug, Clone, Copy)]
+enum Blocking {
+    Solve,
+    Sweep,
+    Tolerance,
+}
+
+/// What answers a request.
+#[derive(Debug, Clone, Copy)]
+enum Endpoint {
+    Inline(Inline),
+    Blocking(Blocking),
+}
+
+/// One row of [`ROUTES`].
+struct Route {
+    method: &'static str,
+    path: &'static str,
+    /// The [`ServiceMetrics`] endpoint label its requests and errors
+    /// count under.
+    label: &'static str,
+    endpoint: Endpoint,
+}
+
+/// Every endpoint latencyd serves, written down once. Each path has one
+/// row: another method on it is a `405`, an unknown path a `404`.
+static ROUTES: [Route; 8] = [
+    Route {
+        method: "POST",
+        path: "/v1/solve",
+        label: "solve",
+        endpoint: Endpoint::Blocking(Blocking::Solve),
+    },
+    Route {
+        method: "POST",
+        path: "/v1/sweep",
+        label: "sweep",
+        endpoint: Endpoint::Blocking(Blocking::Sweep),
+    },
+    Route {
+        method: "POST",
+        path: "/v1/tolerance",
+        label: "tolerance",
+        endpoint: Endpoint::Blocking(Blocking::Tolerance),
+    },
+    Route {
+        method: "GET",
+        path: "/healthz",
+        label: "healthz",
+        endpoint: Endpoint::Inline(Inline::Healthz),
+    },
+    Route {
+        method: "GET",
+        path: "/metrics",
+        label: "metrics",
+        endpoint: Endpoint::Inline(Inline::Metrics),
+    },
+    Route {
+        method: "GET",
+        path: "/v1/cluster/ping",
+        label: "cluster",
+        endpoint: Endpoint::Inline(Inline::ClusterPing),
+    },
+    Route {
+        method: "GET",
+        path: "/v1/cluster/members",
+        label: "cluster",
+        endpoint: Endpoint::Inline(Inline::ClusterMembers),
+    },
+    Route {
+        method: "POST",
+        path: "/v1/cluster/hint",
+        label: "cluster",
+        endpoint: Endpoint::Inline(Inline::ClusterHint),
+    },
+];
+
+/// Match a request against [`ROUTES`]: the metrics label it counts under
+/// (empty, so uncounted, for an unknown path) and what answers it.
+fn lookup(req: &Request) -> (&'static str, Endpoint) {
+    match ROUTES.iter().find(|r| r.path == req.path) {
+        None => ("", Endpoint::Inline(Inline::NotFound)),
+        Some(r) if r.method != req.method => {
+            (r.label, Endpoint::Inline(Inline::WrongMethod(r.method)))
+        }
+        Some(r) => (r.label, r.endpoint),
+    }
+}
+
+/// Route one parsed request from a reactor thread: count it, shed
+/// over-admission immediately, answer inline endpoints on the spot, and
+/// offload blocking endpoints — and, under injected latency, every
+/// request — to the handler pool, which replies through `done`. Every
+/// answered request records exactly one latency sample.
 pub(crate) fn route(state: &Arc<ServiceState>, req: Request, done: Completion) -> Routed {
     // One fault decision per request, drawn from the seeded plan
     // (all-zero when no plan is configured).
@@ -500,189 +598,115 @@ pub(crate) fn route(state: &Arc<ServiceState>, req: Request, done: Completion) -
         done.cancel();
         return Routed::Drop;
     }
-    if !needs_offload(&req) && fd.latency.is_none() {
-        done.cancel();
-        let started = Instant::now();
-        let resp = dispatch_inline(state, &req);
-        state.metrics.record_latency(started.elapsed());
-        return Routed::Respond(resp);
-    }
-    // Admission is checked here on the reactor, so a flooded server
-    // sheds in microseconds instead of queueing each refusal behind the
-    // very backlog it is refusing.
-    let slot = if needs_offload(&req) {
-        let endpoint = match req.path.as_str() {
-            "/v1/solve" => "solve",
-            "/v1/sweep" => "sweep",
-            _ => "tolerance",
-        };
-        match admit(state) {
+    let (label, endpoint) = lookup(&req);
+    state.metrics.record_request(label);
+    // Admission gates only the blocking endpoints, which queue real
+    // solver work: the GET endpoints stay answerable under overload (you
+    // can always ask a drowning server how it is doing), and hint
+    // delivery is a cheap cache insert that must not be shed during the
+    // post-heal burst it exists for. It is checked here on the reactor,
+    // so a flooded server sheds in microseconds instead of queueing each
+    // refusal behind the very backlog it is refusing.
+    let slot = match endpoint {
+        Endpoint::Blocking(_) => match admit(state) {
             Ok(slot) => Some(slot),
             Err(in_flight) => {
-                done.cancel();
                 let started = Instant::now();
-                state.metrics.record_request(endpoint);
+                done.cancel();
                 state.metrics.record_shed();
-                state.metrics.record_error(endpoint, "overloaded");
                 let err = ApiError::overloaded(in_flight, state.max_queue_depth);
-                let resp =
-                    Response::json(err.status, err.body()).with_retry_after(RETRY_AFTER_SECS);
+                let resp = answer(state, label, Err(err)).with_retry_after(RETRY_AFTER_SECS);
                 state.metrics.record_latency(started.elapsed());
                 return Routed::Respond(resp);
             }
-        }
-    } else {
-        None
+        },
+        Endpoint::Inline(_) => None,
     };
+    if let (Endpoint::Inline(inline), None) = (endpoint, fd.latency) {
+        let started = Instant::now();
+        done.cancel();
+        let resp = answer(state, label, serve_inline(state, inline, &req));
+        state.metrics.record_latency(started.elapsed());
+        return Routed::Respond(resp);
+    }
     let shared = Arc::clone(state);
     state.handlers.offload(move || {
         if let Some(delay) = fd.latency {
-            // Injected latency sleeps on the handler thread, exactly as
-            // it slept on the old connection thread.
+            // Injected latency sleeps on the handler thread, so it delays
+            // every kind of request without stalling the reactor.
             std::thread::sleep(delay);
         }
         let started = Instant::now();
-        let resp = dispatch(&shared, &req, fd, slot);
+        let result = match endpoint {
+            Endpoint::Inline(inline) => serve_inline(&shared, inline, &req),
+            Endpoint::Blocking(Blocking::Solve) => {
+                handle_solve(&shared, &req.body, fd, forward::incoming_hops(&req))
+            }
+            Endpoint::Blocking(Blocking::Sweep) => {
+                handle_sweep(&shared, &req.body, forward::incoming_hops(&req))
+            }
+            Endpoint::Blocking(Blocking::Tolerance) => handle_tolerance(&shared, &req.body),
+        };
+        let resp = answer(&shared, label, result);
+        // Free the slot before the client can see the answer, so its
+        // next request is never shed against its own.
+        drop(slot);
         shared.metrics.record_latency(started.elapsed());
         done.deliver(resp);
     });
     Routed::Dispatched
 }
 
-/// Endpoint classification shared by [`dispatch`] and
-/// [`dispatch_inline`]: resolve the endpoint label, count the request,
-/// and enforce the expected method. `Err` is the finished 404/405.
-fn classify(state: &ServiceState, req: &Request) -> Result<&'static str, Response> {
-    let endpoint = match req.path.as_str() {
-        "/healthz" => "healthz",
-        "/metrics" => "metrics",
-        "/v1/solve" => "solve",
-        "/v1/sweep" => "sweep",
-        "/v1/tolerance" => "tolerance",
-        "/v1/cluster/ping" | "/v1/cluster/members" | "/v1/cluster/hint" => "cluster",
-        _ => {
-            state.metrics.record_error("", "not_found");
-            let err = ApiError {
-                status: 404,
-                kind: "not_found".into(),
-                message: format!("no such endpoint: {}", req.path),
-            };
-            return Err(Response::json(404, err.body()));
-        }
-    };
-    state.metrics.record_request(endpoint);
-    let want_post =
-        matches!(endpoint, "solve" | "sweep" | "tolerance") || req.path == "/v1/cluster/hint";
-    if (want_post && req.method != "POST") || (!want_post && req.method != "GET") {
-        state.metrics.record_error(endpoint, "bad_request");
-        let err = ApiError {
-            status: 405,
-            kind: "bad_request".into(),
-            message: format!(
-                "{} expects {}",
-                req.path,
-                if want_post { "POST" } else { "GET" }
-            ),
-        };
-        return Err(Response::json(405, err.body()));
-    }
-    Ok(endpoint)
+/// Render a request's outcome, counting an error under its endpoint
+/// label and kind.
+fn answer(state: &ServiceState, label: &str, result: Result<Response, ApiError>) -> Response {
+    result.unwrap_or_else(|e| {
+        state.metrics.record_error(label, &e.kind);
+        e.into()
+    })
 }
 
-/// The reactor-inline subset of [`dispatch`]: only endpoints that never
-/// block — no pool waits, no cluster forwards, no sleeps — are answered
-/// here (healthz, metrics, cluster introspection, hint delivery, and
-/// every 404/405). The solve/sweep/tolerance arms are structurally
-/// unreachable (their POSTs are offloaded before this is called, other
-/// methods die in [`classify`] with a 405) but degrade into a
-/// structured 500, not a panic.
-fn dispatch_inline(state: &Arc<ServiceState>, req: &Request) -> Response {
-    let endpoint = match classify(state, req) {
-        Ok(endpoint) => endpoint,
-        Err(resp) => return resp,
-    };
-    let result = match endpoint {
-        "healthz" => Ok(handle_healthz(state)),
-        "metrics" => Ok(handle_metrics(state)),
-        "cluster" => handle_cluster(state, req),
-        _ => Err(ApiError {
-            status: 500,
-            kind: "internal".into(),
-            message: "blocking endpoint reached the reactor inline path".into(),
-        }),
-    };
-    match result {
-        Ok(resp) => resp,
-        Err(e) => {
-            state.metrics.record_error(endpoint, &e.kind);
-            Response::json(e.status, e.body())
-        }
-    }
-}
-
-/// Route one request on a handler thread. Also owns the request/error
-/// accounting. `slot` is the admission slot [`route`] claimed on the
-/// reactor (None for requests that are not admission-gated, which then
-/// admit here if needed).
-fn dispatch(
-    state: &Arc<ServiceState>,
+/// Answer an endpoint that never blocks: on the reactor thread, or on a
+/// handler thread after injected latency.
+fn serve_inline(
+    state: &ServiceState,
+    endpoint: Inline,
     req: &Request,
-    fd: FaultDecision,
-    slot: Option<AdmissionSlot>,
-) -> Response {
-    let endpoint = match classify(state, req) {
-        Ok(endpoint) => endpoint,
-        Err(resp) => return resp,
-    };
-    // Admission control: POST endpoints that queue real solver work are
-    // bounded; the GET endpoints stay answerable under overload (you can
-    // always ask a drowning server how it is doing), and hint delivery
-    // is a cheap cache insert that must not be shed during the post-heal
-    // burst it exists for.
-    let admission_gated = matches!(endpoint, "solve" | "sweep" | "tolerance");
-    let _slot = if admission_gated {
-        match slot {
-            Some(slot) => Some(slot),
-            None => match admit(state) {
-                Ok(slot) => Some(slot),
-                Err(in_flight) => {
-                    state.metrics.record_shed();
-                    state.metrics.record_error(endpoint, "overloaded");
-                    let err = ApiError::overloaded(in_flight, state.max_queue_depth);
-                    return Response::json(err.status, err.body())
-                        .with_retry_after(RETRY_AFTER_SECS);
-                }
-            },
+) -> Result<Response, ApiError> {
+    match endpoint {
+        Inline::Healthz => Ok(handle_healthz(state)),
+        Inline::Metrics => Ok(handle_metrics(state)),
+        Inline::ClusterPing => {
+            let cluster = cluster_of(state)?;
+            let doc = JsonValue::object(vec![
+                ("node_id", cluster.node_id().into()),
+                ("status", "ok".into()),
+            ]);
+            Ok(Response::json(200, json::encode(&doc)))
         }
-    } else {
-        None
-    };
-    let hops = forward::incoming_hops(req);
-    let result = match endpoint {
-        "healthz" => Ok(handle_healthz(state)),
-        "metrics" => Ok(handle_metrics(state)),
-        "cluster" => handle_cluster(state, req),
-        "solve" => handle_solve(state, &req.body, fd, hops),
-        "sweep" => handle_sweep(state, &req.body, hops),
-        "tolerance" => handle_tolerance(state, &req.body),
-        _ => {
-            // Structurally impossible (endpoint is assigned from the match
-            // above), but a stray arm must degrade, not panic.
-            state.metrics.record_error(endpoint, "not_found");
-            Err(ApiError {
-                status: 404,
-                kind: "not_found".into(),
-                message: format!("no such endpoint: {}", req.path),
-            })
-        }
-    };
-    match result {
-        Ok(resp) => resp,
-        Err(e) => {
-            state.metrics.record_error(endpoint, &e.kind);
-            Response::json(e.status, e.body())
-        }
+        Inline::ClusterMembers => Ok(Response::json(
+            200,
+            json::encode(&cluster_of(state)?.members_doc()),
+        )),
+        Inline::ClusterHint => handle_hint(state, cluster_of(state)?, &req.body),
+        Inline::NotFound => Err(ApiError::not_found(format!(
+            "no such endpoint: {}",
+            req.path
+        ))),
+        Inline::WrongMethod(method) => Err(ApiError::rejected(
+            405,
+            format!("{} expects {method}", req.path),
+        )),
     }
+}
+
+/// The cluster runtime, or the `404` every `/v1/cluster/*` endpoint
+/// answers on a single node, so cluster mode is discoverable by probing.
+fn cluster_of(state: &ServiceState) -> Result<&Cluster, ApiError> {
+    state
+        .cluster
+        .as_deref()
+        .ok_or_else(|| ApiError::not_found("cluster mode is not enabled on this node"))
 }
 
 fn handle_healthz(state: &ServiceState) -> Response {
@@ -777,28 +801,6 @@ fn handle_metrics(state: &ServiceState) -> Response {
     Response::json(200, json::encode(&doc))
 }
 
-/// `GET /v1/cluster/ping`, `GET /v1/cluster/members`, and
-/// `POST /v1/cluster/hint`. All 404 on a single-node server, so cluster
-/// mode is discoverable by probing.
-fn handle_cluster(state: &ServiceState, req: &Request) -> Result<Response, ApiError> {
-    let Some(cluster) = &state.cluster else {
-        return Err(ApiError {
-            status: 404,
-            kind: "not_found".into(),
-            message: "cluster mode is not enabled on this node".into(),
-        });
-    };
-    let doc = match req.path.as_str() {
-        "/v1/cluster/ping" => JsonValue::object(vec![
-            ("node_id", cluster.node_id().into()),
-            ("status", "ok".into()),
-        ]),
-        "/v1/cluster/hint" => return handle_hint(state, cluster, &req.body),
-        _ => cluster.members_doc(),
-    };
-    Ok(Response::json(200, json::encode(&doc)))
-}
-
 /// `POST /v1/cluster/hint`: accept a solution a peer computed for a key
 /// this node owns while it was unreachable (hinted handoff). The report
 /// is decoded and inserted into the local cache under its canonical key.
@@ -808,27 +810,26 @@ fn handle_cluster(state: &ServiceState, req: &Request) -> Result<Response, ApiEr
 /// degraded answer can never masquerade as the real solution. The
 /// endpoint is idempotent: redelivering a hint re-inserts the same bytes.
 fn handle_hint(state: &ServiceState, cluster: &Cluster, body: &[u8]) -> Result<Response, ApiError> {
-    let bad = |message: String| ApiError {
-        status: 400,
-        kind: "bad_request".into(),
-        message,
-    };
-    let text = std::str::from_utf8(body).map_err(|_| bad("hint body is not valid UTF-8".into()))?;
-    let doc = json::parse(text).map_err(|e| bad(format!("hint body is not JSON: {e}")))?;
+    let text = std::str::from_utf8(body)
+        .map_err(|_| ApiError::bad_request("hint body is not valid UTF-8"))?;
+    let doc = json::parse(text)
+        .map_err(|e| ApiError::bad_request(format!("hint body is not JSON: {e}")))?;
     let key = doc
         .get("key")
         .and_then(|v| v.as_str())
-        .ok_or_else(|| bad("hint is missing \"key\"".into()))?;
+        .ok_or_else(|| ApiError::bad_request("hint is missing \"key\""))?;
     if !key.starts_with("v1;") {
-        return Err(bad("hint key is not a canonical solve key".into()));
+        return Err(ApiError::bad_request(
+            "hint key is not a canonical solve key",
+        ));
     }
     let report = doc
         .get("report")
         .and_then(|v| report_from_json(v).ok())
-        .ok_or_else(|| bad("hint \"report\" does not decode".into()))?;
+        .ok_or_else(|| ApiError::bad_request("hint \"report\" does not decode"))?;
     if !report.fidelity.is_full() {
-        return Err(bad(
-            "hint report is not full fidelity; degraded answers are not handed off".into(),
+        return Err(ApiError::bad_request(
+            "hint report is not full fidelity; degraded answers are not handed off",
         ));
     }
     state.cache.insert(key.to_string(), Arc::new(report));
@@ -1415,11 +1416,7 @@ fn handle_sweep(state: &Arc<ServiceState>, body: &[u8], hops: u32) -> Result<Res
         .into_iter()
         .map(|slot| {
             slot.unwrap_or_else(|| {
-                api::sweep_item(&Err(ApiError {
-                    status: 500,
-                    kind: "internal".into(),
-                    message: "sweep item was never scheduled".into(),
-                }))
+                api::sweep_item(&Err(ApiError::internal("sweep item was never scheduled")))
             })
         })
         .collect();
@@ -1468,11 +1465,7 @@ fn handle_tolerance(state: &Arc<ServiceState>, body: &[u8]) -> Result<Response, 
 }
 
 fn service_unavailable() -> ApiError {
-    ApiError {
-        status: 503,
-        kind: "internal".into(),
-        message: "service is shutting down".into(),
-    }
+    ApiError::unavailable("service is shutting down")
 }
 
 #[cfg(test)]
@@ -1521,24 +1514,91 @@ mod tests {
         assert!(summary.contains("requests=1"), "{summary}");
     }
 
-    #[test]
-    fn unknown_path_is_404_and_metrics_count_it() {
-        let h = test_server();
-        let resp = request(h.addr(), "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(resp.starts_with("HTTP/1.1 404"), "{resp}");
-        assert!(resp.contains("\"kind\":\"not_found\""), "{resp}");
-        assert_eq!(h.state().metrics.errors_of_kind("not_found"), 1);
-        h.shutdown();
+    /// One request on a fresh connection: the status code and the raw
+    /// response.
+    fn call(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        let resp = request(
+            addr,
+            &format!(
+                "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            ),
+        );
+        let status = resp.get(9..12).and_then(|s| s.parse().ok());
+        (
+            status.unwrap_or_else(|| panic!("no status line in {resp:?}")),
+            resp,
+        )
     }
 
     #[test]
-    fn wrong_method_is_405() {
+    fn every_route_answers_its_method_and_moves_its_counters() {
         let h = test_server();
-        let resp = request(
-            h.addr(),
-            "GET /v1/solve HTTP/1.1\r\nConnection: close\r\n\r\n",
-        );
-        assert!(resp.starts_with("HTTP/1.1 405"), "{resp}");
+        let m = &h.state().metrics;
+        // Every POST endpoint accepts this body: solve and tolerance read
+        // `config`, sweep reads `configs`.
+        let cfg = config_to_json(&lt_core::params::SystemConfig::paper_default()).encode();
+        let post_body = format!("{{\"config\":{cfg},\"configs\":[{cfg}]}}");
+        // (requests, errors) of `label`, errors of `kind`, latency samples.
+        let counters = |label: &str, kind: &str| {
+            (
+                m.requests(label),
+                m.errors(label),
+                m.errors_of_kind(kind),
+                m.latency_summary().count,
+            )
+        };
+        for row in &ROUTES {
+            assert!(crate::metrics::ENDPOINTS.contains(&row.label));
+            let body = if row.method == "POST" { &post_body } else { "" };
+            // A single node has no cluster endpoints: a counted 404.
+            let (status, err) = if row.label == "cluster" {
+                (404, 1)
+            } else {
+                (200, 0)
+            };
+            let wrong = if row.method == "GET" { "POST" } else { "GET" };
+            for (method, body, status, err, kind) in [
+                (row.method, body, status, err, "not_found"),
+                (wrong, "", 405, 1, "bad_request"),
+            ] {
+                let (req, errs, kinds, lat) = counters(row.label, kind);
+                let at = format!("{method} {}", row.path);
+                let (got, resp) = call(h.addr(), method, row.path, body);
+                assert_eq!(got, status, "{at}");
+                if err == 1 {
+                    assert!(
+                        resp.contains(&format!("\"kind\":\"{kind}\"")),
+                        "{at}: {resp}"
+                    );
+                }
+                assert_eq!(
+                    counters(row.label, kind),
+                    (req + 1, errs + err, kinds + err, lat + 1),
+                    "{at}"
+                );
+            }
+        }
+        for label in crate::metrics::ENDPOINTS {
+            assert!(
+                ROUTES.iter().any(|r| r.label == label),
+                "no route counts under {label}"
+            );
+        }
+
+        // An unknown path counts a not_found error under no endpoint.
+        let totals = || {
+            crate::metrics::ENDPOINTS
+                .iter()
+                .map(|e| (m.requests(e), m.errors(e)))
+                .collect::<Vec<_>>()
+        };
+        let (before, (_, _, kind, lat)) = (totals(), counters("", "not_found"));
+        let (status, resp) = call(h.addr(), "GET", "/v1/nope", "");
+        assert_eq!(status, 404);
+        assert!(resp.contains("\"kind\":\"not_found\""), "{resp}");
+        assert_eq!(totals(), before);
+        assert_eq!(counters("", "not_found"), (0, 0, kind + 1, lat + 1));
         h.shutdown();
     }
 

@@ -493,6 +493,47 @@ fn healthz_reports_ok() {
     handle.shutdown();
 }
 
+#[test]
+fn http10_without_keep_alive_is_closed_after_one_response() {
+    // A long idle timeout: only the HTTP/1.0 close default can end this
+    // connection quickly.
+    let handle = start_with(|cfg| cfg.idle_timeout_ms = 10_000);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let sent = std::time::Instant::now();
+    stream.write_all(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let waited = sent.elapsed();
+    assert!(waited < Duration::from_secs(2), "EOF only after {waited:?}");
+    assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+    assert!(raw.contains("Connection: close\r\n"), "{raw}");
+    handle.shutdown();
+}
+
+#[test]
+fn http10_keep_alive_serves_a_second_request_on_the_same_socket() {
+    let handle = start(1);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for round in 0..2 {
+        stream
+            .write_all(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            .unwrap();
+        let (status, v) = read_response(&mut reader);
+        assert_eq!(status, 200, "round {round}");
+        assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
+    }
+    drop(reader);
+    drop(stream);
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial clients: the reactor must answer (or close) every
 // misbehaving connection with bounded memory and without parking an
