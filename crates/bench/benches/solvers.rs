@@ -1,12 +1,15 @@
 //! Solver micro-benchmarks: network construction and the four MVA
-//! solvers across machine sizes and populations.
+//! solvers across machine sizes and populations, and the Auto ladder's
+//! per-rung kernel table.
 
-use lt_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lt_core::analysis::{solve_network, SolverChoice};
+use lt_bench::{criterion_group, criterion_main, report_counter, BenchmarkId, Criterion};
+use lt_core::analysis::{solve_network, solve_network_in, SolverChoice};
+use lt_core::metrics::report;
+use lt_core::mva::SolverOptions;
 use lt_core::prelude::*;
 use lt_core::qn::build::build_network;
 use lt_core::topology::Topology;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("build-network");
@@ -149,6 +152,80 @@ fn bench_tolerance_index(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 48 configs of one torus size in latbench's solve-cold mix:
+/// `n_t` 1–12 × `S`, `L` ∈ {1, 2}, at `p_remote` 0.3 and `p_sw` 0.5.
+fn ladder_configs(k: usize) -> Vec<SystemConfig> {
+    let base = SystemConfig::paper_default()
+        .with_topology(Topology::torus(k))
+        .with_p_remote(0.3)
+        .with_pattern(AccessPattern::geometric(0.5));
+    let mut cfgs = Vec::with_capacity(48);
+    for n_t in 1..=12 {
+        for (s, l) in [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (2.0, 2.0)] {
+            cfgs.push(
+                base.with_n_threads(n_t)
+                    .with_switch_delay(s)
+                    .with_memory_latency(l),
+            );
+        }
+    }
+    cfgs
+}
+
+fn bench_auto_ladder(c: &mut Criterion) {
+    // What a cache miss costs latencyd, one row per Auto rung: build,
+    // solve with Auto on a pooled workspace, and report. 2×2 runs exact
+    // MVA, 4×4 the Linearizer, 6×6 and 8×8 symmetric AMVA.
+    let mut group = c.benchmark_group("auto-ladder");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    let opts = SolverOptions::default();
+    for k in [2usize, 4, 6, 8] {
+        let cfgs = ladder_configs(k);
+        let mut ws = SolverWorkspace::new();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("k{k}")),
+            &cfgs,
+            |b, cfgs| {
+                b.iter(|| {
+                    cfgs.iter()
+                        .map(|cfg| {
+                            let mms = build_network(cfg).unwrap();
+                            let sol =
+                                solve_network_in(&mms, SolverChoice::Auto, opts, None, &mut ws)
+                                    .unwrap();
+                            report(&mms, &sol).u_p
+                        })
+                        .sum::<f64>()
+                })
+            },
+        );
+        // One pass timed by phase: the kernel table's mean µs per config.
+        let mut phases = [Duration::ZERO; 3];
+        for cfg in &cfgs {
+            let t0 = Instant::now();
+            let mms = build_network(cfg).unwrap();
+            let t1 = Instant::now();
+            let sol = solve_network_in(&mms, SolverChoice::Auto, opts, None, &mut ws).unwrap();
+            let t2 = Instant::now();
+            lt_bench::black_box(report(&mms, &sol));
+            let t3 = Instant::now();
+            phases[0] += t1 - t0;
+            phases[1] += t2 - t1;
+            phases[2] += t3 - t2;
+        }
+        for (phase, total) in ["build", "solve", "report"].iter().zip(phases) {
+            report_counter(
+                "auto-ladder",
+                &format!("k{k}-{phase}-us"),
+                total.as_secs_f64() * 1e6 / cfgs.len() as f64,
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     solvers,
     bench_build,
@@ -156,6 +233,7 @@ criterion_group!(
     bench_solver_accuracy_tier,
     bench_priority_heuristic,
     bench_workspace_reuse,
-    bench_tolerance_index
+    bench_tolerance_index,
+    bench_auto_ladder
 );
 criterion_main!(solvers);

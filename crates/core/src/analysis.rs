@@ -68,7 +68,8 @@ pub fn solve_network_with(
 ///
 /// `warm` is a flattened class-major queue matrix (`c * m`), typically the
 /// solution of a neighboring parameter point; it seeds every *iterative*
-/// rung the chosen solver runs (the exact solver ignores it). Guesses with
+/// rung the chosen solver runs (the exact solver ignores it, but keeps
+/// its lattice table in `ws`). Guesses with
 /// the wrong shape or non-finite entries are silently discarded — a warm
 /// start may change iteration counts, never the converged answer beyond
 /// solver tolerance.
@@ -84,7 +85,7 @@ pub fn solve_network_in(
         SolverChoice::SymmetricAmva => symmetric::solve_in(mms, opts, warm, ws),
         SolverChoice::Amva => amva::solve_in(&mms.net, opts, warm, ws),
         SolverChoice::Linearizer => linearizer::solve_mms_in(mms, opts, warm, ws),
-        SolverChoice::Exact => exact::solve(&mms.net),
+        SolverChoice::Exact => exact::solve_mms_in(mms, ws),
     }
 }
 
@@ -111,7 +112,7 @@ fn solve_auto(
     // Rung 0: exact MVA when the lattice is cheap — no approximation error,
     // no convergence concerns.
     if entries <= AUTO_EXACT_ENTRIES {
-        match exact::solve(net) {
+        match exact::solve_mms_in(mms, ws) {
             Ok(sol) => return Ok(absorb_wasted(sol, &wasted)),
             Err(LtError::ProblemTooLarge { .. }) => {}
             Err(e) => return Err(e),

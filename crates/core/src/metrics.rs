@@ -2,9 +2,12 @@
 //!
 //! All figures in the paper are stated for one (representative) processor of
 //! the SPMD system; [`PerformanceReport`] therefore carries the per-class
-//! mean. On a torus all classes are identical; on the mesh extension the
-//! mean is over genuinely different classes and the per-class vector is
-//! exposed too.
+//! mean. On a symmetric network ([`MmsNetwork::is_symmetric`]: a torus with
+//! a translation-invariant pattern) every class is a translation of class
+//! 0, so [`report`] reads class 0's row once and it stands for every class,
+//! as in the paper. On the mesh and hot-spot extensions the same loops walk
+//! every class, the mean is over genuinely different classes, and the
+//! per-class vector is exposed too.
 
 use crate::mva::{MvaSolution, SolverDiagnostics};
 use crate::qn::build::MmsNetwork;
@@ -131,23 +134,25 @@ pub struct PerformanceReport {
 }
 
 /// Extract the paper's measures from a solved MMS network.
+///
+/// Walks class 0 alone on a symmetric network and every class otherwise;
+/// see the module docs. `u_p_per_class` has one entry per class either way.
 pub fn report(mms: &MmsNetwork, sol: &MvaSolution) -> PerformanceReport {
     let p = mms.idx.p;
     let classes = mms.net.n_classes();
+    let walked = if mms.is_symmetric() { 1 } else { classes };
     let r = mms.cfg.workload.runlength;
     let p_remote = mms.cfg.workload.p_remote;
 
-    let mut u_p_per_class = Vec::with_capacity(classes);
     let mut lambda_sum = 0.0;
     let mut l_obs_sum = 0.0;
     let mut l_local_sum = 0.0;
     let mut l_remote_sum = 0.0;
     let mut net_cycle_sum = 0.0;
     let mut d_avg_sum = 0.0;
-    for i in 0..classes {
+    for i in 0..walked {
         let lam = sol.throughput[i];
         lambda_sum += lam;
-        u_p_per_class.push(lam * r);
         let mut l_obs = 0.0;
         let mut l_remote = 0.0;
         for j in 0..p {
@@ -181,8 +186,12 @@ pub fn report(mms: &MmsNetwork, sol: &MvaSolution) -> PerformanceReport {
         net_cycle_sum += net_cycle;
         d_avg_sum += mms.d_avg[i];
     }
+    // Class 0's value repeated on a symmetric network.
+    let u_p_per_class: Vec<f64> = (0..classes)
+        .map(|i| sol.throughput[i % walked] * r)
+        .collect();
 
-    let cf = classes as f64;
+    let cf = walked as f64;
     let lambda_proc = lambda_sum / cf;
     let network_time_per_cycle = net_cycle_sum / cf;
     let s_obs = if p_remote > 0.0 {
@@ -191,7 +200,19 @@ pub fn report(mms: &MmsNetwork, sol: &MvaSolution) -> PerformanceReport {
         0.0
     };
 
-    // Subsystem utilizations, averaged over nodes.
+    // Subsystem utilizations, averaged over nodes: the walked classes'
+    // load on every node of a kind, divided by the number walked. With
+    // every class walked that is the mean over the `P = C` nodes; with
+    // class 0 alone it is class 0's load on the whole kind, which by
+    // symmetry equals the load of all classes on any one node.
+    let station = |st: usize| -> f64 {
+        let s = mms.net.stations[st].service;
+        sol.throughput[..walked]
+            .iter()
+            .enumerate()
+            .map(|(i, &lam)| lam * mms.net.visits[i][st] * s)
+            .sum()
+    };
     let mut util = SubsystemUtilization {
         processor: 0.0,
         memory: 0.0,
@@ -199,16 +220,15 @@ pub fn report(mms: &MmsNetwork, sol: &MvaSolution) -> PerformanceReport {
         out_switch: 0.0,
     };
     for j in 0..p {
-        util.processor += sol.utilization(&mms.net, mms.idx.proc(j));
-        util.memory += sol.utilization(&mms.net, mms.idx.mem(j));
-        util.in_switch += sol.utilization(&mms.net, mms.idx.insw(j));
-        util.out_switch += sol.utilization(&mms.net, mms.idx.outsw(j));
+        util.processor += station(mms.idx.proc(j));
+        util.memory += station(mms.idx.mem(j));
+        util.in_switch += station(mms.idx.insw(j));
+        util.out_switch += station(mms.idx.outsw(j));
     }
-    let pf = p as f64;
-    util.processor /= pf;
-    util.memory /= pf;
-    util.in_switch /= pf;
-    util.out_switch /= pf;
+    util.processor /= cf;
+    util.memory /= cf;
+    util.in_switch /= cf;
+    util.out_switch /= cf;
 
     PerformanceReport {
         u_p: lambda_proc * r,

@@ -14,10 +14,33 @@
 //! class-independent (the product-form condition for FCFS stations). The
 //! state space is `∏(N_i + 1)`, enumerated in mixed-radix order so every
 //! `n − 1_i` precedes `n`.
+//!
+//! **Orbit reduction.** On a symmetric MMS network (a torus with a
+//! translation-invariant pattern, [`MmsNetwork::is_symmetric`]) moving
+//! every class and every station by node `g` maps the network onto
+//! itself, so `Q_{g(m)}(g·n) = Q_m(n)`. The table then keeps one row per
+//! orbit `{g·n}` of population vectors, computed at the orbit's
+//! lowest-ranked member: each predecessor `n − 1_i` of that member has a
+//! lower rank, and so has its own orbit's representative, whose row is
+//! therefore already there. A per-rank index names every population
+//! vector's representative row and the translation that maps the
+//! representative onto it; the row is read through that translation's
+//! station permutation. On a 2×2 torus at `n_t = 12` that is 7,267 rows
+//! for 28,561 lattice points. A network without the symmetry runs the same
+//! recursion under the identity group: one row per lattice point.
+//!
+//! The index and the table live in the caller's [`SolverWorkspace`] on
+//! the path the Auto ladder and [`crate::analysis::SolverChoice::Exact`]
+//! run; [`solve`] uses a fresh one. The entry budget
+//! ([`DEFAULT_ENTRY_LIMIT`], and the Auto ladder's own) counts the
+//! unreduced lattice, so which inputs succeed does not depend on the
+//! symmetry.
 
 use crate::error::{LtError, Result};
-use crate::mva::{MvaSolution, SolverDiagnostics};
+use crate::mva::{MvaSolution, SolverDiagnostics, SolverWorkspace};
 use crate::num::exactly_zero;
+use crate::qn::build::MmsNetwork;
+use crate::qn::translation::Translation;
 use crate::qn::{ClosedNetwork, Discipline};
 
 /// Hard ceiling on `states × stations` table entries (~1.6 GiB of f64 at
@@ -32,6 +55,102 @@ pub fn solve(net: &ClosedNetwork) -> Result<MvaSolution> {
 
 /// [`solve`] with an explicit entry budget.
 pub fn solve_with_limit(net: &ClosedNetwork, entry_limit: u128) -> Result<MvaSolution> {
+    let group = Group::identity(net.n_classes(), net.n_stations());
+    solve_grouped(net, &group, entry_limit, &mut SolverWorkspace::new())
+}
+
+/// Solve an MMS network exactly through caller-owned scratch memory,
+/// folding the lattice by node translation when
+/// [`MmsNetwork::is_symmetric`] holds. Agrees with [`solve`] on
+/// `mms.net` up to summation order.
+pub(crate) fn solve_mms_in(mms: &MmsNetwork, ws: &mut SolverWorkspace) -> Result<MvaSolution> {
+    let net = &mms.net;
+    let group = if mms.is_symmetric() {
+        Group::translations(&Translation::new(&mms.cfg.arch.topology), net.n_stations())
+    } else {
+        Group::identity(net.n_classes(), net.n_stations())
+    };
+    let sol = solve_grouped(net, &group, DEFAULT_ENTRY_LIMIT, ws);
+    ws.trim_lattice();
+    sol
+}
+
+/// A symmetry group of the network, as permutations. Element `g` moves a
+/// population vector `n` to `g·n` with `(g·n)_j = n[class(g)[j]]`, and
+/// `Q_st(g·n) = Q_{station(g)[st]}(n)`. Element 0 is the identity.
+struct Group {
+    order: usize,
+    c: usize,
+    m: usize,
+    /// `classes[g * c + j]`.
+    classes: Vec<usize>,
+    /// `stations[g * m + st]`.
+    stations: Vec<usize>,
+}
+
+impl Group {
+    /// The trivial group: every lattice point is its own orbit.
+    fn identity(c: usize, m: usize) -> Self {
+        Group {
+            order: 1,
+            c,
+            m,
+            classes: (0..c).collect(),
+            stations: (0..m).collect(),
+        }
+    }
+
+    /// The node translations of a symmetric MMS network with `m`
+    /// stations: classes are nodes, and station `(kind, v)` reads the
+    /// representative's `(kind, v − g)`.
+    fn translations(translation: &Translation, m: usize) -> Self {
+        let p = translation.nodes();
+        let mut classes = Vec::with_capacity(p * p);
+        let mut stations = Vec::with_capacity(p * m);
+        for g in 0..p {
+            let shift = translation.class(g);
+            classes.extend_from_slice(shift);
+            stations.extend((0..m).map(|st| st - st % p + shift[st % p]));
+        }
+        Group {
+            order: p,
+            c: p,
+            m,
+            classes,
+            stations,
+        }
+    }
+
+    fn class(&self, g: usize) -> &[usize] {
+        &self.classes[g * self.c..(g + 1) * self.c]
+    }
+
+    fn station(&self, g: usize) -> &[usize] {
+        &self.stations[g * self.m..(g + 1) * self.m]
+    }
+}
+
+/// Index entry of a lattice point not yet reached by any orbit.
+const UNSEEN: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// Step a mixed-radix counter to the next rank.
+fn advance(digits: &mut [usize], radices: &[usize]) {
+    for (d, &r) in digits.iter_mut().zip(radices) {
+        *d += 1;
+        if *d < r {
+            return;
+        }
+        *d = 0;
+    }
+}
+
+/// The recursion of the module docs over the orbits of `group`.
+fn solve_grouped(
+    net: &ClosedNetwork,
+    group: &Group,
+    entry_limit: u128,
+    ws: &mut SolverWorkspace,
+) -> Result<MvaSolution> {
     net.validate()?;
     let c = net.n_classes();
     let m = net.n_stations();
@@ -43,7 +162,9 @@ pub fn solve_with_limit(net: &ClosedNetwork, entry_limit: u128) -> Result<MvaSol
         states = states.saturating_mul(r as u128);
     }
     let entries = states.saturating_mul(m as u128);
-    if entries > entry_limit {
+    // The index stores ranks as u32; a lattice past that could not be
+    // tabulated in memory anyway.
+    if entries > entry_limit || states > u128::from(u32::MAX) {
         return Err(LtError::ProblemTooLarge {
             states,
             limit: entry_limit,
@@ -57,35 +178,61 @@ pub fn solve_with_limit(net: &ClosedNetwork, entry_limit: u128) -> Result<MvaSol
         strides[i] = strides[i - 1] * radices[i - 1];
     }
 
-    // Q[rank][m] = total mean queue length at station m for that population.
-    let mut q = vec![0.0f64; states * m];
+    // Orbit index: walking ranks upward, the first member of an orbit met
+    // is its lowest-ranked one, which becomes the representative and
+    // registers every image g·n under its row.
+    let index = ws.orbit_index(states, UNSEEN);
     let mut digits = vec![0usize; c];
+    let mut rows: u32 = 0;
+    for rank in 0..states {
+        if rank > 0 {
+            advance(&mut digits, &radices);
+        }
+        if index[rank] != UNSEEN {
+            continue;
+        }
+        for g in 0..group.order {
+            let image: usize = group
+                .class(g)
+                .iter()
+                .zip(&strides)
+                .map(|(&src, &stride)| digits[src] * stride)
+                .sum();
+            if index[image] == UNSEEN {
+                index[image] = (rows, g as u32);
+            }
+        }
+        rows += 1;
+    }
+
+    // Q[row][m] = total mean queue length at station m for that orbit.
+    let (index, q) = ws.lattice_table(rows as usize * m);
+    let lookup = |rank: usize| {
+        let (row, g) = index[rank];
+        (row as usize * m, group.station(g as usize))
+    };
+    digits.fill(0);
     let mut wait_scratch = vec![0.0f64; m];
 
     // Throughputs at the full population, filled when rank == states - 1.
     let mut lambda = vec![0.0f64; c];
 
-    for rank in 1..states {
-        // Increment mixed-radix counter to match `rank`.
-        let mut carry = 0;
-        loop {
-            digits[carry] += 1;
-            if digits[carry] < radices[carry] {
-                break;
-            }
-            digits[carry] = 0;
-            carry += 1;
+    for (rank, &(row, g)) in index.iter().enumerate().skip(1) {
+        advance(&mut digits, &radices);
+        if g != 0 {
+            continue; // an image of a representative already tabulated
         }
-
-        let q_rank_base = rank * m;
+        let (done, current) = q.split_at_mut(row as usize * m);
+        let current = &mut current[..m];
         // Accumulate Q_m(n) = Σ_i λ_i e w over classes present.
         // First compute λ_i and w_{i,m} for each class with n_i > 0.
         for i in 0..c {
             if digits[i] == 0 {
                 continue;
             }
-            let prev = rank - strides[i]; // rank of n − 1_i
-            let prev_base = prev * m;
+            // Q(n − 1_i), read through its representative.
+            let (prev_base, shift) = lookup(rank - strides[i]);
+            let prev = &done[prev_base..prev_base + m];
             let mut cycle = 0.0;
             for st in 0..m {
                 let e = net.visits[i][st];
@@ -95,7 +242,7 @@ pub fn solve_with_limit(net: &ClosedNetwork, entry_limit: u128) -> Result<MvaSol
                 }
                 let s = net.stations[st].service;
                 let w = match net.stations[st].discipline {
-                    Discipline::Queueing => s * (1.0 + q[prev_base + st]),
+                    Discipline::Queueing => s * (1.0 + prev[shift[st]]),
                     Discipline::Delay => s,
                 };
                 wait_scratch[st] = w;
@@ -114,7 +261,7 @@ pub fn solve_with_limit(net: &ClosedNetwork, entry_limit: u128) -> Result<MvaSol
             for st in 0..m {
                 let e = net.visits[i][st];
                 if e > 0.0 {
-                    q[q_rank_base + st] += lam * e * wait_scratch[st];
+                    current[st] += lam * e * wait_scratch[st];
                 }
             }
         }
@@ -125,7 +272,8 @@ pub fn solve_with_limit(net: &ClosedNetwork, entry_limit: u128) -> Result<MvaSol
     let mut wait = vec![vec![0.0; m]; c];
     let mut queue = vec![vec![0.0; m]; c];
     for i in 0..c {
-        let prev_base = (full - strides[i]) * m;
+        let (prev_base, shift) = lookup(full - strides[i]);
+        let prev = &q[prev_base..prev_base + m];
         for st in 0..m {
             let e = net.visits[i][st];
             if exactly_zero(e) {
@@ -133,7 +281,7 @@ pub fn solve_with_limit(net: &ClosedNetwork, entry_limit: u128) -> Result<MvaSol
             }
             let s = net.stations[st].service;
             let w = match net.stations[st].discipline {
-                Discipline::Queueing => s * (1.0 + q[prev_base + st]),
+                Discipline::Queueing => s * (1.0 + prev[shift[st]]),
                 Discipline::Delay => s,
             };
             wait[i][st] = w;

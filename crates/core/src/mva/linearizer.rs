@@ -31,11 +31,12 @@
 
 use crate::error::{LtError, Result};
 use crate::mva::fixed_point::{solve_fixed_point_in, SolverDiagnostics};
-use crate::mva::symmetric::{class0_fixed_point, seed_class0, Class0, Translation};
+use crate::mva::symmetric::{class0_fixed_point, seed_class0, Class0};
 use crate::mva::workspace::{usable_warm, Scratch, SolverWorkspace};
 use crate::mva::{MvaSolution, SolverOptions};
 use crate::num::exactly_zero;
 use crate::qn::build::MmsNetwork;
+use crate::qn::translation::Translation;
 use crate::qn::{ClosedNetwork, Discipline};
 
 /// Number of outer refinement sweeps (the literature standard is 2–3).
@@ -289,7 +290,7 @@ fn solve_symmetric_in(
     let c = net.n_classes();
     let m = net.n_stations();
     let full = &net.populations;
-    let translation = Translation::new(mms);
+    let translation = Translation::new(&mms.cfg.arch.topology);
 
     let Split {
         flat,

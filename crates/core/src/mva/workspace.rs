@@ -25,6 +25,12 @@
 //! pool worker. Nothing read out of a solve aliases the workspace: solvers
 //! copy results into freshly allocated [`crate::mva::MvaSolution`] fields.
 //!
+//! Exact MVA keeps its lattice table and orbit index here as well (see
+//! [`crate::mva::exact`]), so a pooled workspace stops allocating them
+//! per solve. Those two are the only buffers that can be large; a table
+//! past `RETAINED_LATTICE_ENTRIES` is released after its solve rather
+//! than pinned in the workspace.
+//!
 //! The [`SolverWorkspace::allocations`] counter records how many times any
 //! buffer actually had to grow. Perf tests assert it stays flat across
 //! repeated same-shape solves — the machine-checkable form of the
@@ -62,6 +68,12 @@ pub struct SolverWorkspace {
     /// Saved full-population solution used to warm reduced solves, `c * m`
     /// (Linearizer).
     aux: Vec<f64>,
+    /// Per lattice rank: the orbit representative's table row and the
+    /// group element mapping it there (exact MVA).
+    orbit: Vec<(u32, u32)>,
+    /// One total-queue row per orbit representative, `rows * m` (exact
+    /// MVA).
+    lattice: Vec<f64>,
     /// Number of times any buffer had to grow its capacity.
     grows: u64,
 }
@@ -85,24 +97,20 @@ pub(crate) struct Scratch<'a> {
     pub aux: &'a mut Vec<f64>,
 }
 
-/// Zero-fill `buf` to exactly `len` entries, counting a grow when the
-/// existing capacity was insufficient. `clear` + `resize` never shrinks
-/// capacity, so a warm buffer is reused allocation-free.
-fn ensure_f64(buf: &mut Vec<f64>, len: usize, grows: &mut u64) {
-    if buf.capacity() < len {
-        *grows += 1;
-    }
-    buf.clear();
-    buf.resize(len, 0.0);
-}
+/// Lattice tables above this many entries (8 MiB) are released after
+/// their solve: an explicit exact request on a large lattice must not
+/// pin gigabytes in a pooled workspace. Auto's exact rung stays below it.
+const RETAINED_LATTICE_ENTRIES: usize = 1 << 20;
 
-/// Boolean twin of [`ensure_f64`].
-fn ensure_bool(buf: &mut Vec<bool>, len: usize, grows: &mut u64) {
+/// Fill `buf` with exactly `len` copies of `fill`, counting a grow when
+/// the existing capacity was insufficient. `clear` + `resize` never
+/// shrinks capacity, so a warm buffer is reused allocation-free.
+fn ensure<T: Clone>(buf: &mut Vec<T>, len: usize, fill: T, grows: &mut u64) {
     if buf.capacity() < len {
         *grows += 1;
     }
     buf.clear();
-    buf.resize(len, false);
+    buf.resize(len, fill);
 }
 
 impl SolverWorkspace {
@@ -142,19 +150,19 @@ impl SolverWorkspace {
     pub(crate) fn scratch(&mut self, c: usize, m: usize, tables: bool) -> Scratch<'_> {
         let n = c * m;
         let g = &mut self.grows;
-        ensure_f64(&mut self.state, n, g);
-        ensure_f64(&mut self.image, n, g);
-        ensure_f64(&mut self.prev_delta, n, g);
-        ensure_f64(&mut self.wait, n, g);
-        ensure_f64(&mut self.throughput, c, g);
-        ensure_f64(&mut self.totals, m, g);
+        ensure(&mut self.state, n, 0.0, g);
+        ensure(&mut self.image, n, 0.0, g);
+        ensure(&mut self.prev_delta, n, 0.0, g);
+        ensure(&mut self.wait, n, 0.0, g);
+        ensure(&mut self.throughput, c, 0.0, g);
+        ensure(&mut self.totals, m, 0.0, g);
         if tables {
-            ensure_f64(&mut self.base, n, g);
-            ensure_f64(&mut self.visits, n, g);
-            ensure_f64(&mut self.service, m, g);
-            ensure_bool(&mut self.queueing, m, g);
-            ensure_f64(&mut self.fractions, c * n, g);
-            ensure_f64(&mut self.aux, n, g);
+            ensure(&mut self.base, n, 0.0, g);
+            ensure(&mut self.visits, n, 0.0, g);
+            ensure(&mut self.service, m, 0.0, g);
+            ensure(&mut self.queueing, m, false, g);
+            ensure(&mut self.fractions, c * n, 0.0, g);
+            ensure(&mut self.aux, n, 0.0, g);
         }
         Scratch {
             state: &mut self.state,
@@ -169,6 +177,29 @@ impl SolverWorkspace {
             queueing: &mut self.queueing,
             fractions: &mut self.fractions,
             aux: &mut self.aux,
+        }
+    }
+
+    /// Exact MVA's orbit index for a `states`-point lattice, every entry
+    /// set to `unseen`.
+    pub(crate) fn orbit_index(&mut self, states: usize, unseen: (u32, u32)) -> &mut [(u32, u32)] {
+        ensure(&mut self.orbit, states, unseen, &mut self.grows);
+        &mut self.orbit
+    }
+
+    /// The orbit index as filled, and exact MVA's zeroed table of `len`
+    /// entries.
+    pub(crate) fn lattice_table(&mut self, len: usize) -> (&[(u32, u32)], &mut [f64]) {
+        ensure(&mut self.lattice, len, 0.0, &mut self.grows);
+        (&self.orbit, &mut self.lattice)
+    }
+
+    /// Release exact MVA's buffers if the last table was larger than
+    /// `RETAINED_LATTICE_ENTRIES`.
+    pub(crate) fn trim_lattice(&mut self) {
+        if self.lattice.capacity() > RETAINED_LATTICE_ENTRIES {
+            self.lattice = Vec::new();
+            self.orbit = Vec::new();
         }
     }
 }
@@ -220,6 +251,19 @@ mod tests {
         ws.scratch(2, 2, false);
         ws.scratch(3, 5, false);
         assert_eq!(ws.allocations(), after_big);
+    }
+
+    #[test]
+    fn oversized_lattice_tables_are_released_after_their_solve() {
+        let mut ws = SolverWorkspace::new();
+        ws.orbit_index(16, (0, 0));
+        ws.lattice_table(64);
+        ws.trim_lattice();
+        assert!(ws.lattice.capacity() >= 64, "a small table is kept");
+        ws.lattice_table(RETAINED_LATTICE_ENTRIES + 1);
+        ws.trim_lattice();
+        assert_eq!(ws.lattice.capacity(), 0, "a large table is released");
+        assert_eq!(ws.orbit.capacity(), 0);
     }
 
     #[test]

@@ -30,10 +30,19 @@
 //!   `em[i][m]`. A round trip over distance `h` makes `2h` inbound and `2`
 //!   outbound visits, i.e. `2(h+1)` switch services — the `2(d_avg+1)·S`
 //!   term of the paper's Equation 5.
+//!
+//! On a symmetric network ([`MmsNetwork::is_symmetric`]: a torus with a
+//! translation-invariant pattern) class `i` is class 0 moved by node `i`,
+//! so only class 0 is routed; the other classes' `em`/`ei`/`eo` rows and
+//! `d_avg` are copied from class 0's through one tabulated node
+//! translation (`crate::qn::translation`). Meshes and hot-spot patterns
+//! run the same routing loop for every class. Either way class 0's rows
+//! are computed the same way, so they do not depend on the symmetry.
 
 use crate::error::Result;
 use crate::num::exactly_zero;
 use crate::params::SystemConfig;
+use crate::qn::translation::Translation;
 use crate::qn::{ClosedNetwork, Station};
 use crate::topology::NodeId;
 
@@ -151,9 +160,13 @@ impl MmsNetwork {
     /// the symmetric solver fast path: the topology must be
     /// vertex-transitive *and* the access pattern translation invariant.
     pub fn is_symmetric(&self) -> bool {
-        self.cfg.arch.topology.is_vertex_transitive()
-            && self.cfg.workload.pattern.is_translation_invariant()
+        is_symmetric(&self.cfg)
     }
+}
+
+/// [`MmsNetwork::is_symmetric`] of the network `cfg` builds.
+fn is_symmetric(cfg: &SystemConfig) -> bool {
+    cfg.arch.topology.is_vertex_transitive() && cfg.workload.pattern.is_translation_invariant()
 }
 
 /// Build the MMS closed queueing network from a validated configuration.
@@ -197,35 +210,26 @@ pub fn build_network(cfg: &SystemConfig) -> Result<MmsNetwork> {
     }
 
     // --- visit ratios ----------------------------------------------------
-    let p_remote = cfg.workload.p_remote;
+    // Route class 0 only when the other classes are its translations, and
+    // every class otherwise.
+    let translation = is_symmetric(cfg).then(|| Translation::new(&topo));
+    let routed = if translation.is_some() { 1 } else { p };
     let mut em = vec![vec![0.0; p]; p];
     let mut ei = vec![vec![0.0; p]; p];
     let mut eo = vec![vec![0.0; p]; p];
     let mut d_avg = vec![0.0; p];
-
-    for i in 0..p {
-        em[i][i] = 1.0 - p_remote;
-        if p_remote > 0.0 {
-            let q = cfg.workload.pattern.remote_probs(&topo, i);
-            eo[i][i] = p_remote;
-            for j in 0..p {
-                if j == i || exactly_zero(q[j]) {
-                    continue;
-                }
-                let weight = p_remote * q[j];
-                em[i][j] = weight;
-                eo[i][j] += weight;
-                d_avg[i] += q[j] * topo.distance(i, j) as f64;
-                // Request i -> j: inbound switch of every node entered.
-                for &n in &topo.route(i, j) {
-                    ei[i][n] += weight;
-                }
-                // Response j -> i: likewise, ending at in[i].
-                for &n in &topo.route(j, i) {
-                    ei[i][n] += weight;
-                }
+    for i in 0..routed {
+        d_avg[i] = route_class(cfg, i, &mut em[i], &mut ei[i], &mut eo[i]);
+    }
+    if let Some(translation) = &translation {
+        for rows in [&mut em, &mut ei, &mut eo] {
+            let (row0, rest) = rows.split_at_mut(1);
+            for (i, row) in rest.iter_mut().enumerate() {
+                translation.row_into(i + 1, &row0[0], row);
             }
         }
+        let d0 = d_avg[0];
+        d_avg.fill(d0);
     }
 
     // --- assemble the visits matrix --------------------------------------
@@ -257,6 +261,43 @@ pub fn build_network(cfg: &SystemConfig) -> Result<MmsNetwork> {
         eo,
         d_avg,
     })
+}
+
+/// Fill class `i`'s memory, inbound- and outbound-switch visit rows and
+/// return its average remote-access distance. The rows arrive zeroed.
+fn route_class(
+    cfg: &SystemConfig,
+    i: NodeId,
+    em: &mut [f64],
+    ei: &mut [f64],
+    eo: &mut [f64],
+) -> f64 {
+    let topo = cfg.arch.topology;
+    let p_remote = cfg.workload.p_remote;
+    em[i] = 1.0 - p_remote;
+    let mut d_avg = 0.0;
+    if p_remote > 0.0 {
+        let q = cfg.workload.pattern.remote_probs(&topo, i);
+        eo[i] = p_remote;
+        for j in 0..q.len() {
+            if j == i || exactly_zero(q[j]) {
+                continue;
+            }
+            let weight = p_remote * q[j];
+            em[j] = weight;
+            eo[j] += weight;
+            d_avg += q[j] * topo.distance(i, j) as f64;
+            // Request i -> j: inbound switch of every node entered.
+            for &n in &topo.route(i, j) {
+                ei[n] += weight;
+            }
+            // Response j -> i: likewise, ending at in[i].
+            for &n in &topo.route(j, i) {
+                ei[n] += weight;
+            }
+        }
+    }
+    d_avg
 }
 
 #[cfg(test)]

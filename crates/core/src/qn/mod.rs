@@ -4,9 +4,12 @@
 //! (queueing or delay) with class-independent mean service times, a set of
 //! classes with fixed populations, and a visit-ratio matrix. The MVA solvers
 //! in [`crate::mva`] operate on this structure; [`build`] constructs the
-//! MMS instance of it from a [`crate::params::SystemConfig`].
+//! MMS instance of it from a [`crate::params::SystemConfig`], and
+//! `translation` tabulates the node translations that let a symmetric
+//! MMS network be built, solved and reported from class 0.
 
 pub mod build;
+pub(crate) mod translation;
 
 use crate::error::{LtError, Result};
 use crate::num::exactly_zero;

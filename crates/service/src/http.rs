@@ -64,12 +64,22 @@ impl Request {
     /// Whether the connection stays open after the response: by default
     /// for HTTP/1.1 unless the client sent `Connection: close`, and for
     /// HTTP/1.0 only if it sent `Connection: keep-alive` (RFC 9112 §9.3).
+    /// `Connection` is a list of case-insensitive tokens, possibly over
+    /// several lines (RFC 9110 §7.6.1); `close` anywhere wins.
     pub fn keep_alive(&self) -> bool {
-        match self.header("connection") {
-            Some(v) if v.eq_ignore_ascii_case("close") => false,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-            _ => !self.http10,
+        if self.connection_has("close") {
+            return false;
         }
+        !self.http10 || self.connection_has("keep-alive")
+    }
+
+    /// Whether any `Connection` line lists `token`, compared in place.
+    fn connection_has(&self, token: &str) -> bool {
+        self.headers
+            .iter()
+            .filter(|(k, _)| k.eq_ignore_ascii_case("connection"))
+            .flat_map(|(_, v)| v.split(','))
+            .any(|t| t.trim_matches([' ', '\t']).eq_ignore_ascii_case(token))
     }
 }
 
@@ -595,6 +605,27 @@ mod tests {
             ("GET / HTTP/1.0\r\n\r\n", false),
             ("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", true),
             ("GET / HTTP/1.0\r\nConnection: close\r\n\r\n", false),
+            // A token list, over any number of lines (RFC 9110 §7.6.1).
+            ("GET / HTTP/1.1\r\nConnection: close, TE\r\n\r\n", false),
+            ("GET / HTTP/1.1\r\nConnection: TE, close\r\n\r\n", false),
+            (
+                "GET / HTTP/1.0\r\nConnection: Keep-Alive , Upgrade\r\n\r\n",
+                true,
+            ),
+            (
+                "GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n",
+                false,
+            ),
+            (
+                "GET / HTTP/1.0\r\nConnection: keep-alive, close\r\n\r\n",
+                false,
+            ),
+            (
+                "GET / HTTP/1.1\r\nConnection: TE\r\nConnection: close\r\n\r\n",
+                false,
+            ),
+            ("GET / HTTP/1.1\r\nConnection: closed\r\n\r\n", true),
+            ("GET / HTTP/1.0\r\nConnection: keep-alived\r\n\r\n", false),
         ] {
             assert_eq!(ready(raw).keep_alive(), want, "for {raw:?}");
         }

@@ -46,7 +46,10 @@
 //! stand-in for a self-pipe): registering a socket or delivering a
 //! completed response wakes the shard immediately; otherwise it wakes
 //! on an adaptive poll timeout — zero after a round that made progress,
-//! backing off to a few milliseconds when every connection is quiet.
+//! then 20 µs, doubling up to 1 ms while any connection was active in
+//! the last 100 ms and up to 5 ms when every connection is quiet. A
+//! client's next keep-alive request is read on one of those polls, so
+//! the short first step is what keeps a request/response loop fast.
 //! Long-idle connections are swept on a slower cadence than recently
 //! active ones, bounding the per-round syscall cost of thousands of
 //! parked sockets. The `reactor.wakeups` counter tracks the channel
@@ -84,8 +87,11 @@ use crate::sync::lock_ok;
 const HOT_POLL_CAP: Duration = Duration::from_millis(1);
 /// Longest the adaptive poll sleeps when every connection is quiet.
 const IDLE_POLL_CAP: Duration = Duration::from_millis(5);
-/// Shortest non-zero poll sleep (first step of the backoff).
-const MIN_POLL: Duration = Duration::from_micros(200);
+/// Shortest non-zero poll sleep (first step of the backoff). A
+/// keep-alive client's next request lands within a few tens of
+/// microseconds of its response, and no socket readiness wakes the
+/// shard, so this step bounds how long that request waits to be read.
+const MIN_POLL: Duration = Duration::from_micros(20);
 /// Connections active within this window are polled every round; older
 /// ones wait for the cold sweep.
 const HOT_WINDOW: Duration = Duration::from_millis(100);
@@ -348,18 +354,24 @@ fn shard_loop(state: &Arc<ServiceState>, rx: &Receiver<ReactorMsg>, tx: &Sender<
             }
         }
 
-        // 4. Adaptive sleep: spin again after progress, otherwise back
-        // off toward the cap.
-        backoff = if progress {
-            Duration::ZERO
-        } else {
-            let cap = if any_hot { HOT_POLL_CAP } else { IDLE_POLL_CAP };
-            if backoff < MIN_POLL {
-                MIN_POLL
-            } else {
-                (backoff * 2).min(cap)
-            }
-        };
+        // 4. Adaptive sleep.
+        backoff = next_backoff(backoff, progress, any_hot);
+    }
+}
+
+/// The poll sleep after a round: zero after progress (spin again at
+/// once), otherwise [`MIN_POLL`] and then doubling, up to
+/// [`HOT_POLL_CAP`] while recently active connections exist and
+/// [`IDLE_POLL_CAP`] when every connection is quiet.
+fn next_backoff(backoff: Duration, progress: bool, any_hot: bool) -> Duration {
+    if progress {
+        return Duration::ZERO;
+    }
+    let cap = if any_hot { HOT_POLL_CAP } else { IDLE_POLL_CAP };
+    if backoff < MIN_POLL {
+        MIN_POLL
+    } else {
+        (backoff * 2).min(cap)
     }
 }
 
@@ -693,4 +705,26 @@ fn pump_conn_write(state: &ServiceState, conn: &mut Conn) -> Step {
     conn.written = 0;
     set_phase(state, conn, ConnPhase::Idle);
     Step::Keep
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_restarts_after_progress_and_doubles_to_each_cap() {
+        let hot = [20, 40, 80, 160, 320, 640, 1000, 1000];
+        let idle = [20, 40, 80, 160, 320, 640, 1280, 2560, 5000, 5000];
+        for (any_hot, want) in [(true, &hot[..]), (false, &idle[..])] {
+            let mut backoff = next_backoff(Duration::from_micros(700), true, any_hot);
+            assert_eq!(backoff, Duration::ZERO, "progress spins again at once");
+            for &us in want {
+                backoff = next_backoff(backoff, false, any_hot);
+                assert_eq!(backoff, Duration::from_micros(us), "any_hot = {any_hot}");
+            }
+        }
+        // A connection turning hot pulls an idle-length sleep down to the
+        // hot cap on the next step.
+        assert_eq!(next_backoff(IDLE_POLL_CAP, false, true), HOT_POLL_CAP);
+    }
 }

@@ -204,6 +204,300 @@ fn symmetric_linearizer_equals_general() {
     }
 }
 
+/// Every class's `(em, ei, eo, d_avg)` computed class by class from
+/// `Topology::route` and `AccessPattern::remote_probs`, in the summation
+/// order the network build uses for the classes it routes.
+type VisitRows = (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<f64>);
+
+fn per_class_rows(cfg: &SystemConfig) -> VisitRows {
+    let topo = cfg.arch.topology;
+    let p = topo.nodes();
+    let p_remote = cfg.workload.p_remote;
+    let mut em = vec![vec![0.0; p]; p];
+    let mut ei = vec![vec![0.0; p]; p];
+    let mut eo = vec![vec![0.0; p]; p];
+    let mut d_avg = vec![0.0; p];
+    for i in 0..p {
+        em[i][i] = 1.0 - p_remote;
+        if p_remote <= 0.0 {
+            continue;
+        }
+        let q = cfg.workload.pattern.remote_probs(&topo, i);
+        eo[i][i] = p_remote;
+        for j in (0..p).filter(|&j| j != i && q[j] > 0.0) {
+            let weight = p_remote * q[j];
+            em[i][j] = weight;
+            eo[i][j] += weight;
+            d_avg[i] += q[j] * topo.distance(i, j) as f64;
+            for n in topo.route(i, j).into_iter().chain(topo.route(j, i)) {
+                ei[i][n] += weight;
+            }
+        }
+    }
+    (em, ei, eo, d_avg)
+}
+
+/// The scalar measures of a report, by name.
+fn report_scalars(rep: &PerformanceReport) -> [(&'static str, f64); 14] {
+    let u = rep.utilization;
+    [
+        ("u_p", rep.u_p),
+        ("lambda_proc", rep.lambda_proc),
+        ("lambda_net", rep.lambda_net),
+        ("s_obs", rep.s_obs),
+        ("l_obs", rep.l_obs),
+        ("l_obs_local", rep.l_obs_local),
+        ("l_obs_remote", rep.l_obs_remote),
+        ("network_time_per_cycle", rep.network_time_per_cycle),
+        ("d_avg", rep.d_avg),
+        ("system_throughput", rep.system_throughput),
+        ("util.processor", u.processor),
+        ("util.memory", u.memory),
+        ("util.in_switch", u.in_switch),
+        ("util.out_switch", u.out_switch),
+    ]
+}
+
+/// The same measures as per-class means over every class of the
+/// solution, the way a report without the class-0 shortcut takes them.
+fn per_class_means(
+    mms: &lt_core::qn::build::MmsNetwork,
+    sol: &lt_core::mva::MvaSolution,
+) -> [(&'static str, f64); 14] {
+    let (p, c) = (mms.idx.p, mms.net.n_classes());
+    let r = mms.cfg.workload.runlength;
+    let p_remote = mms.cfg.workload.p_remote;
+    let (mut lambda, mut l_obs, mut l_local, mut l_remote) = (0.0, 0.0, 0.0, 0.0);
+    let (mut net_cycle, mut d_avg) = (0.0, 0.0);
+    for i in 0..c {
+        lambda += sol.throughput[i];
+        let (mut obs, mut remote) = (0.0, 0.0);
+        for j in (0..p).filter(|&j| mms.em[i][j] > 0.0) {
+            let mut w = sol.wait[i][mms.idx.mem(j)];
+            if mms.idx.has_memory_delay {
+                w += sol.wait[i][mms.idx.mem_delay(j)];
+            }
+            obs += w * mms.em[i][j];
+            if j == i {
+                l_local += w;
+            } else {
+                remote += w * mms.em[i][j];
+            }
+        }
+        if p_remote > 0.0 {
+            l_remote += remote / p_remote;
+        }
+        l_obs += obs;
+        let mut cycle = 0.0;
+        for j in 0..p {
+            if mms.ei[i][j] > 0.0 {
+                cycle += sol.wait[i][mms.idx.insw(j)] * mms.ei[i][j];
+            }
+            if mms.eo[i][j] > 0.0 {
+                cycle += sol.wait[i][mms.idx.outsw(j)] * mms.eo[i][j];
+            }
+        }
+        net_cycle += cycle;
+        d_avg += mms.d_avg[i];
+    }
+    let cf = c as f64;
+    let util = |station: &dyn Fn(usize) -> usize| {
+        (0..p).fold(0.0, |acc, j| acc + sol.utilization(&mms.net, station(j))) / p as f64
+    };
+    let lambda_proc = lambda / cf;
+    let per_cycle = net_cycle / cf;
+    [
+        ("u_p", lambda_proc * r),
+        ("lambda_proc", lambda_proc),
+        ("lambda_net", lambda_proc * p_remote),
+        (
+            "s_obs",
+            if p_remote > 0.0 {
+                per_cycle / (2.0 * p_remote)
+            } else {
+                0.0
+            },
+        ),
+        ("l_obs", l_obs / cf),
+        ("l_obs_local", l_local / cf),
+        ("l_obs_remote", l_remote / cf),
+        ("network_time_per_cycle", per_cycle),
+        ("d_avg", d_avg / cf),
+        (
+            "system_throughput",
+            sol.throughput.iter().map(|&x| x * r).sum(),
+        ),
+        ("util.processor", util(&|j| mms.idx.proc(j))),
+        ("util.memory", util(&|j| mms.idx.mem(j))),
+        ("util.in_switch", util(&|j| mms.idx.insw(j))),
+        ("util.out_switch", util(&|j| mms.idx.outsw(j))),
+    ]
+}
+
+/// `|a − b| ≤ tol · |b|`: relative, and exact where `b` is 0.
+fn within(a: f64, b: f64, tol: f64) -> bool {
+    (a - b).abs() <= tol * b.abs()
+}
+
+/// The symmetry-native model core: on tori the network build routes
+/// class 0 and translates it, the report reads class 0, and exact MVA
+/// keeps one table row per orbit of population vectors. Class 0 is built
+/// exactly as the per-class path builds it, every other class and every
+/// measure agrees with the per-class path, and meshes and hot-spot
+/// patterns take the per-class path bit for bit.
+#[test]
+fn class0_core_matches_the_per_class_path() {
+    use lt_core::analysis::solve_network_in;
+    use lt_core::metrics::report;
+    use lt_core::mva::{exact, SolverOptions};
+    let opts = SolverOptions::default();
+    let mut ws = SolverWorkspace::new();
+    let tori = [
+        Topology::torus(2),
+        Topology::torus(3),
+        Topology::rect_torus(2, 3),
+        Topology::torus(4),
+        Topology::torus(6),
+    ];
+    let mut gen = ConfigGen::new(0xC1A55);
+    for case in 0..40 {
+        let p_sw = gen.in_range(0.05, 1.0);
+        let pattern = match gen.int_in(0, 2) {
+            0 => AccessPattern::geometric(p_sw),
+            1 => AccessPattern::geometric_per_module(p_sw),
+            _ => AccessPattern::Uniform,
+        };
+        let topo = tori[case % tori.len()];
+        // 2×2 stays where the unreduced lattice is cheap in a debug build;
+        // the first pass pins n_t = 1 so 2×3 and 3×3 get their exact check.
+        let n_t = match (case < tori.len(), topo.nodes()) {
+            (true, _) => 1,
+            (false, 4) => gen.int_in(1, 6),
+            _ => gen.int_in(1, 12),
+        };
+        let p_remote = if case == 0 {
+            0.0
+        } else {
+            gen.in_range(0.0, 0.9)
+        };
+        let cfg = SystemConfig::paper_default()
+            .with_topology(topo)
+            .with_n_threads(n_t)
+            .with_memory_ports(gen.int_in(1, 2))
+            .with_p_remote(p_remote)
+            .with_pattern(pattern)
+            .with_switch_delay(gen.int_in(1, 2) as f64)
+            .with_memory_latency(gen.int_in(1, 2) as f64);
+        let mms = build_network(&cfg).unwrap();
+        assert!(mms.is_symmetric());
+
+        let (em, ei, eo, d_avg) = per_class_rows(&cfg);
+        assert!(
+            mms.em[0] == em[0] && mms.ei[0] == ei[0] && mms.eo[0] == eo[0],
+            "case #{case} {cfg:?}: class 0 rows differ from the per-class build"
+        );
+        assert_eq!(mms.d_avg[0], d_avg[0], "case #{case} {cfg:?}: d_avg[0]");
+        for (name, built, reference) in [
+            ("em", &mms.em, &em),
+            ("ei", &mms.ei, &ei),
+            ("eo", &mms.eo, &eo),
+        ] {
+            for (i, (row, want)) in built.iter().zip(reference).enumerate() {
+                for (j, (&x, &y)) in row.iter().zip(want).enumerate() {
+                    assert!(
+                        (x - y).abs() <= 1e-15 * y.abs().max(1.0),
+                        "case #{case} {cfg:?}: {name}[{i}][{j}] {x} vs {y}"
+                    );
+                }
+            }
+        }
+        for (i, (&x, &y)) in mms.d_avg.iter().zip(&d_avg).enumerate() {
+            assert!(
+                (x - y).abs() <= 1e-15 * y.abs().max(1.0),
+                "case #{case} {cfg:?}: d_avg[{i}] {x} vs {y}"
+            );
+        }
+
+        let sol = solve_network_in(&mms, SolverChoice::Auto, opts, None, &mut ws).unwrap();
+        let rep = report(&mms, &sol);
+        for ((name, x), (_, y)) in report_scalars(&rep)
+            .into_iter()
+            .zip(per_class_means(&mms, &sol))
+        {
+            assert!(
+                within(x, y, 1e-12),
+                "case #{case} {cfg:?}: {name} {x} vs {y}"
+            );
+        }
+        assert_eq!(rep.u_p_per_class.len(), mms.net.n_classes());
+        for (&x, &lam) in rep.u_p_per_class.iter().zip(&sol.throughput) {
+            let y = lam * cfg.workload.runlength;
+            assert!(
+                within(x, y, 1e-12),
+                "case #{case} {cfg:?}: u_p_per_class {x} vs {y}"
+            );
+        }
+
+        // Orbit-reduced exact MVA against the unreduced recursion.
+        if (topo.nodes() == 4 && n_t <= 6) || (topo.nodes() <= 9 && n_t == 1) {
+            let reduced = solve_network_in(&mms, SolverChoice::Exact, opts, None, &mut ws).unwrap();
+            let plain = exact::solve(&mms.net).unwrap();
+            for (what, a, b) in [
+                (
+                    "throughput",
+                    vec![reduced.throughput.clone()],
+                    vec![plain.throughput.clone()],
+                ),
+                ("wait", reduced.wait.clone(), plain.wait.clone()),
+                ("queue", reduced.queue.clone(), plain.queue.clone()),
+            ] {
+                for (i, (x, y)) in a.iter().flatten().zip(b.iter().flatten()).enumerate() {
+                    assert!(
+                        within(*x, *y, 1e-12),
+                        "case #{case} {cfg:?}: exact {what}[{i}] {x} vs {y}"
+                    );
+                }
+            }
+        }
+    }
+
+    // No translation symmetry: every class is routed, and the report is
+    // the per-class mean, bit for bit.
+    for cfg in [
+        SystemConfig::paper_default()
+            .with_topology(Topology::mesh(3))
+            .with_n_threads(3)
+            .with_p_remote(0.4),
+        SystemConfig::paper_default()
+            .with_topology(Topology::torus(3))
+            .with_pattern(AccessPattern::hot_spot(0.3))
+            .with_n_threads(3)
+            .with_memory_ports(2),
+    ] {
+        let mms = build_network(&cfg).unwrap();
+        assert!(!mms.is_symmetric());
+        let (em, ei, eo, d_avg) = per_class_rows(&cfg);
+        assert!(
+            mms.em == em && mms.ei == ei && mms.eo == eo && mms.d_avg == d_avg,
+            "{cfg:?}: build left the per-class path"
+        );
+        let sol = solve_network_in(&mms, SolverChoice::Auto, opts, None, &mut ws).unwrap();
+        let rep = report(&mms, &sol);
+        for ((name, x), (_, y)) in report_scalars(&rep)
+            .into_iter()
+            .zip(per_class_means(&mms, &sol))
+        {
+            assert_eq!(x.to_bits(), y.to_bits(), "{cfg:?}: {name} {x} vs {y}");
+        }
+        let per_class: Vec<f64> = sol
+            .throughput
+            .iter()
+            .map(|&x| x * cfg.workload.runlength)
+            .collect();
+        assert_eq!(rep.u_p_per_class, per_class, "{cfg:?}");
+    }
+}
+
 /// Adding threads never reduces utilization (closed PF networks are
 /// monotone in per-class population). Pinned to one explicit solver:
 /// the Auto ladder may cross an accuracy tier between n_t and n_t + 2,
@@ -431,6 +725,20 @@ fn workspace_reuse_across_shapes_is_clean() {
             .with_n_threads(3),
     );
     shapes.push(SystemConfig::paper_default().with_memory_ports(2));
+    // Exact MVA keeps its orbit index and lattice table in the workspace:
+    // two 2×2 lattices of different size and a 2×3 torus.
+    let exact_shapes = [
+        SystemConfig::paper_default()
+            .with_topology(Topology::torus(2))
+            .with_n_threads(3),
+        SystemConfig::paper_default()
+            .with_topology(Topology::torus(2))
+            .with_n_threads(6)
+            .with_memory_ports(2),
+        SystemConfig::paper_default()
+            .with_topology(Topology::rect_torus(2, 3))
+            .with_n_threads(2),
+    ];
     let opts = SolverOptions::default();
     let mut shared = SolverWorkspace::new();
 
@@ -455,6 +763,16 @@ fn workspace_reuse_across_shapes_is_clean() {
             assert!(
                 a.throughput == b.throughput && a.queue == b.queue && a.wait == b.wait,
                 "symmetric linearizer leaked: {cfg:?}"
+            );
+        }
+        for cfg in &exact_shapes {
+            let mms = build_network(cfg).unwrap();
+            let ex = SolverChoice::Exact;
+            let a = solve_network_in(&mms, ex, opts, None, shared).unwrap();
+            let b = solve_network_in(&mms, ex, opts, None, &mut SolverWorkspace::new()).unwrap();
+            assert!(
+                a.throughput == b.throughput && a.queue == b.queue && a.wait == b.wait,
+                "exact leaked: {cfg:?}"
             );
         }
     };

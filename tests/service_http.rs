@@ -514,6 +514,28 @@ fn http10_without_keep_alive_is_closed_after_one_response() {
 }
 
 #[test]
+fn connection_token_list_with_close_is_closed_after_one_response() {
+    // `Connection` is a token list: `close` among other tokens still
+    // closes, well inside a long idle timeout.
+    let handle = start_with(|cfg| cfg.idle_timeout_ms = 10_000);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let sent = std::time::Instant::now();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close, TE\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let waited = sent.elapsed();
+    assert!(waited < Duration::from_secs(2), "EOF only after {waited:?}");
+    assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+    assert!(raw.contains("Connection: close\r\n"), "{raw}");
+    handle.shutdown();
+}
+
+#[test]
 fn http10_keep_alive_serves_a_second_request_on_the_same_socket() {
     let handle = start(1);
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
