@@ -5,7 +5,7 @@
 use lt_bench::{criterion_group, criterion_main, report_counter, BenchmarkId, Criterion};
 use lt_core::analysis::{solve_network, solve_network_in, SolverChoice};
 use lt_core::metrics::report;
-use lt_core::mva::SolverOptions;
+use lt_core::mva::{amva, SolverOptions};
 use lt_core::prelude::*;
 use lt_core::qn::build::build_network;
 use lt_core::topology::Topology;
@@ -44,10 +44,12 @@ fn bench_solvers_scaling(c: &mut Criterion) {
                 })
             },
         );
+        // The multi-class solver itself: `SolverChoice::Amva` would take
+        // the class-0 path on these tori.
         group.bench_with_input(
             BenchmarkId::new("general-amva", format!("k{k}")),
             &mms,
-            |b, mms| b.iter(|| solve_network(mms, SolverChoice::Amva).unwrap().iterations),
+            |b, mms| b.iter(|| amva::solve(&mms.net).unwrap().iterations),
         );
     }
     group.finish();
@@ -84,7 +86,7 @@ fn bench_priority_heuristic(c: &mut Criterion) {
         b.iter(|| lt_core::mva::priority::solve(&mms).unwrap().throughput[0])
     });
     group.bench_function("plain-amva-baseline", |b| {
-        b.iter(|| solve_network(&mms, SolverChoice::Amva).unwrap().throughput[0])
+        b.iter(|| amva::solve(&mms.net).unwrap().throughput[0])
     });
     group.finish();
 }
@@ -104,7 +106,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
             &mms,
             |b, mms| {
                 b.iter(|| {
-                    lt_core::mva::amva::solve_in(
+                    amva::solve_in(
                         &mms.net,
                         Default::default(),
                         None,
@@ -121,7 +123,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
             |b, mms| {
                 let mut ws = SolverWorkspace::new();
                 b.iter(|| {
-                    lt_core::mva::amva::solve_in(&mms.net, Default::default(), None, &mut ws)
+                    amva::solve_in(&mms.net, Default::default(), None, &mut ws)
                         .unwrap()
                         .iterations
                 })

@@ -46,6 +46,13 @@ fn sweep_opts(warm: bool, threads: usize) -> SweepOptions {
     }
 }
 
+fn static_opts(threads: usize) -> SweepOptions {
+    SweepOptions {
+        schedule: Schedule::Static,
+        ..sweep_opts(true, threads)
+    }
+}
+
 fn bench_cold_vs_warm(c: &mut Criterion) {
     let cfgs = figure4_grid();
     let mut group = c.benchmark_group("sweep-figure4");
@@ -94,7 +101,25 @@ fn bench_warm_scaling(c: &mut Criterion) {
             &cfgs,
             |b, cfgs| b.iter(|| solve_sweep(cfgs, &sweep_opts(true, threads)).total_iterations),
         );
+        // Each claim of the dynamic schedule starts a new warm chain, so
+        // the iteration total shows what a thread count costs in solver
+        // work apart from how the host runs the threads.
+        report_counter(
+            "sweep-threads",
+            &format!("warm-iterations-{threads}-threads"),
+            solve_sweep(&cfgs, &sweep_opts(true, threads)).total_iterations as f64,
+        );
     }
+    // Two contiguous halves: the intact chain, but one thread gets the
+    // heavier half of the grid.
+    group.bench_with_input(BenchmarkId::new("static", "2-threads"), &cfgs, |b, cfgs| {
+        b.iter(|| solve_sweep(cfgs, &static_opts(2)).total_iterations)
+    });
+    report_counter(
+        "sweep-threads",
+        "static-iterations-2-threads",
+        solve_sweep(&cfgs, &static_opts(2)).total_iterations as f64,
+    );
     group.finish();
 }
 

@@ -26,7 +26,9 @@ pub enum SolverChoice {
     /// The `O(M)`-per-iteration symmetric Bard–Schweitzer
     /// (torus only).
     SymmetricAmva,
-    /// General multi-class Bard–Schweitzer (the paper's Figure 3).
+    /// Bard–Schweitzer (the paper's Figure 3): over class 0's station row
+    /// on a torus with a translation-invariant pattern, where every class
+    /// is a translation of class 0, and multi-class otherwise.
     Amva,
     /// Chandy–Neuse Linearizer (translation-symmetric on tori with a
     /// translation-invariant pattern, general otherwise).
@@ -83,7 +85,7 @@ pub fn solve_network_in(
     match choice {
         SolverChoice::Auto => solve_auto(mms, opts, warm, ws),
         SolverChoice::SymmetricAmva => symmetric::solve_in(mms, opts, warm, ws),
-        SolverChoice::Amva => amva::solve_in(&mms.net, opts, warm, ws),
+        SolverChoice::Amva => amva::solve_mms_in(mms, opts, warm, ws),
         SolverChoice::Linearizer => linearizer::solve_mms_in(mms, opts, warm, ws),
         SolverChoice::Exact => exact::solve_mms_in(mms, ws),
     }

@@ -15,12 +15,26 @@
 //! symmetry exactly along the trajectory (the damping factor is a scalar,
 //! so damped trajectories stay symmetric too), while adaptive
 //! under-relaxation keeps it from oscillating near saturation.
+//!
+//! [`solve`], [`solve_with`] and [`solve_in`] iterate over every
+//! class-station pair, `O(C·M)` per iteration, on any network. An MMS
+//! network on a torus with a translation-invariant pattern
+//! ([`MmsNetwork::is_symmetric`]) has every class a node translation of
+//! class 0, and the Jacobi map keeps that symmetry, so `solve_mms_in`,
+//! the entry [`crate::analysis::SolverChoice::Amva`] runs, iterates there
+//! over class 0's row alone with the fixed point of
+//! [`crate::mva::symmetric`], `O(M)` per iteration, and expands the answer
+//! by translation.
+//! Its diagnostics still say `amva`; their `max_residual_index` then
+//! indexes class 0's station row.
 
 use crate::error::{LtError, Result};
 use crate::mva::fixed_point::solve_fixed_point_in;
+use crate::mva::symmetric::solve_class0_in;
 use crate::mva::workspace::{usable_warm, Scratch, SolverWorkspace};
 use crate::mva::{initial_queue_flat, MvaSolution, SolverOptions};
 use crate::num::exactly_zero;
+use crate::qn::build::MmsNetwork;
 use crate::qn::{ClosedNetwork, Discipline};
 
 /// Solve with default options.
@@ -31,6 +45,27 @@ pub fn solve(net: &ClosedNetwork) -> Result<MvaSolution> {
 /// Solve with explicit convergence controls.
 pub fn solve_with(net: &ClosedNetwork, opts: SolverOptions) -> Result<MvaSolution> {
     solve_in(net, opts, None, &mut SolverWorkspace::new())
+}
+
+/// Solve an MMS network through the class-0 fixed point when
+/// [`MmsNetwork::is_symmetric`] holds, and through the general
+/// [`solve_in`] otherwise.
+///
+/// On the class-0 path `warm` may be a class-0 row (`m` entries) or a
+/// full `c * m` matrix, whose class-0 prefix is used — the same contract
+/// as [`crate::mva::symmetric::solve_in`]. The answer agrees with the
+/// general path within solver tolerance.
+pub(crate) fn solve_mms_in(
+    mms: &MmsNetwork,
+    opts: SolverOptions,
+    warm: Option<&[f64]>,
+    ws: &mut SolverWorkspace,
+) -> Result<MvaSolution> {
+    if mms.is_symmetric() {
+        solve_class0_in("amva", mms, opts, warm, ws)
+    } else {
+        solve_in(&mms.net, opts, warm, ws)
+    }
 }
 
 /// Solve with explicit convergence controls, an optional warm start, and

@@ -11,7 +11,8 @@
 //!   rates (true `M/M/c` memory modules), quantifying the Seidmann
 //!   approximation exactly.
 //! * [`amva`] — the Bard–Schweitzer approximate MVA, the algorithm of the
-//!   paper's Figure 3. This is the workhorse solver.
+//!   paper's Figure 3. This is the workhorse solver. On tori its MMS entry
+//!   runs the [`symmetric`] class-0 fixed point.
 //! * [`linearizer`] — the Chandy–Neuse Linearizer, a higher-order
 //!   approximation: Auto rung 1 for medium systems (the paper's 4×4 torus)
 //!   and the last-resort rung 4. On tori it solves one reduced network per

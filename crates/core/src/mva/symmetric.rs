@@ -14,10 +14,15 @@
 //! *exactly* instead of only up to convergence tolerance. The expanded
 //! solution is generated by translating class 0.
 //!
-//! The class-0 step and the class-0 → all-classes expansion are shared
-//! with the Linearizer's translation-symmetric path (see
-//! [`crate::mva::linearizer`]), whose full-population solves are this
-//! fixed point plus a per-station correction row.
+//! One function, `solve_class0_in`, runs this solve for two callers and
+//! takes the name the diagnostics report: `symmetric-amva` ([`solve_in`])
+//! and `amva` on a symmetric network (`amva::solve_mms_in`, the entry
+//! [`crate::analysis::SolverChoice::Amva`] runs), so a request for the
+//! paper's Figure 3 solver on a torus costs `O(M)` per iteration and
+//! still answers as `amva`. The class-0 step and the class-0 → all-classes
+//! expansion are also shared with the Linearizer's translation-symmetric
+//! path (see [`crate::mva::linearizer`]), whose full-population solves
+//! are this fixed point plus a per-station correction row.
 
 use crate::error::{LtError, Result};
 use crate::mva::fixed_point::{solve_fixed_point_in, SolverDiagnostics};
@@ -61,6 +66,20 @@ pub fn solve_in(
             "symmetric solver requires a vertex-transitive topology (torus)".into(),
         ));
     }
+    solve_class0_in("symmetric-amva", mms, opts, warm, ws)
+}
+
+/// The class-0 Bard–Schweitzer solve behind [`solve_in`] and, on
+/// symmetric networks, [`crate::mva::amva::solve_mms_in`]; `solver` is
+/// the name its diagnostics and errors carry. The caller has checked
+/// [`MmsNetwork::is_symmetric`]. `warm` follows [`solve_in`]'s contract.
+pub(crate) fn solve_class0_in(
+    solver: &'static str,
+    mms: &MmsNetwork,
+    opts: SolverOptions,
+    warm: Option<&[f64]>,
+    ws: &mut SolverWorkspace,
+) -> Result<MvaSolution> {
     let net = &mms.net;
     net.validate()?;
     let m = net.n_stations();
@@ -75,7 +94,7 @@ pub fn solve_in(
     } = ws.scratch(1, m, false);
     seed_class0(mms, warm, n0);
     let (diagnostics, lambda) = class0_fixed_point(
-        "symmetric-amva",
+        solver,
         mms,
         &opts,
         None,

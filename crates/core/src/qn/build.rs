@@ -182,31 +182,22 @@ pub fn build_network(cfg: &SystemConfig) -> Result<MmsNetwork> {
     };
 
     // --- stations -------------------------------------------------------
+    // One block of `p` stations per kind, named by kind: the index tells
+    // the nodes apart, so a build formats no names.
     let mut stations = Vec::with_capacity(idx.count());
-    let proc_service = cfg.workload.processor_service();
-    for j in 0..p {
-        stations.push(Station::queueing(format!("proc[{j}]"), proc_service));
-    }
+    let mut push_kind = |station: Station| stations.extend((0..p).map(|_| station.clone()));
+    push_kind(Station::queueing("proc", cfg.workload.processor_service()));
     // Seidmann transformation for c-port memory: a queueing station with
     // service L/c plus a delay station with service L(c-1)/c. For c = 1
     // this degenerates to the plain L queueing station.
     let l = cfg.arch.memory_latency;
-    let mem_service = l / ports as f64;
-    for j in 0..p {
-        stations.push(Station::queueing(format!("mem[{j}]"), mem_service));
-    }
+    push_kind(Station::queueing("mem", l / ports as f64));
     let s = cfg.arch.switch_delay;
-    for j in 0..p {
-        stations.push(Station::queueing(format!("in[{j}]"), s));
-    }
-    for j in 0..p {
-        stations.push(Station::queueing(format!("out[{j}]"), s));
-    }
+    push_kind(Station::queueing("in", s));
+    push_kind(Station::queueing("out", s));
     if has_memory_delay {
         let residual = l * (ports as f64 - 1.0) / ports as f64;
-        for j in 0..p {
-            stations.push(Station::delay(format!("mem-delay[{j}]"), residual));
-        }
+        push_kind(Station::delay("mem-delay", residual));
     }
 
     // --- visit ratios ----------------------------------------------------

@@ -11,6 +11,8 @@
 pub mod build;
 pub(crate) mod translation;
 
+use std::borrow::Cow;
+
 use crate::error::{LtError, Result};
 use crate::num::exactly_zero;
 
@@ -27,8 +29,9 @@ pub enum Discipline {
 /// One service center.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Station {
-    /// Human-readable name, e.g. `"mem[3]"`.
-    pub name: String,
+    /// Human-readable name. [`build::build_network`] names a station by
+    /// its kind (`"mem"`); its index in `stations` tells the nodes apart.
+    pub name: Cow<'static, str>,
     /// Mean service time per visit (class-independent; `>= 0`).
     pub service: f64,
     /// Queueing or delay.
@@ -37,7 +40,7 @@ pub struct Station {
 
 impl Station {
     /// A FCFS queueing station.
-    pub fn queueing(name: impl Into<String>, service: f64) -> Self {
+    pub fn queueing(name: impl Into<Cow<'static, str>>, service: f64) -> Self {
         Station {
             name: name.into(),
             service,
@@ -46,7 +49,7 @@ impl Station {
     }
 
     /// An infinite-server delay station.
-    pub fn delay(name: impl Into<String>, service: f64) -> Self {
+    pub fn delay(name: impl Into<Cow<'static, str>>, service: f64) -> Self {
         Station {
             name: name.into(),
             service,
@@ -176,6 +179,18 @@ mod tests {
         let mut net = two_station_single_class(3, 1.0, 2.0);
         net.stations[0].service = -1.0;
         assert!(net.validate().is_err());
+    }
+
+    #[test]
+    fn invalid_service_error_names_the_station() {
+        let mut net = two_station_single_class(3, 1.0, 2.0);
+        net.stations[1].service = -0.5;
+        match net.validate() {
+            Err(LtError::InvalidConfig(msg)) => {
+                assert!(msg.contains("station 1 (disk)"), "{msg}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

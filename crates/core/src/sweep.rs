@@ -6,12 +6,18 @@
 //!
 //! * [`Schedule::Static`] — contiguous chunks, one per core. Lowest
 //!   overhead; right for near-uniform per-item costs.
-//! * [`Schedule::Dynamic`] — an atomic next-item counter that idle threads
-//!   claim from (work-stealing-style self-scheduling). Right for *skewed*
-//!   costs: a sweep mixing near-saturation configs (hundreds of solver
-//!   iterations) with light-load ones (a handful) keeps every core busy
-//!   until the tail instead of letting one chunk dominate wall time. The
-//!   `latencyd` sweep endpoint uses this mode.
+//! * [`Schedule::Dynamic`] — an atomic counter that idle threads claim
+//!   short contiguous runs of items from (work-stealing-style
+//!   self-scheduling). Right for *skewed* costs: a sweep mixing
+//!   near-saturation configs (hundreds of solver iterations) with
+//!   light-load ones (a handful) keeps every core busy until the tail
+//!   instead of letting one chunk dominate wall time. A run is a quarter
+//!   of a thread's share, not one item: every claim starts a new warm
+//!   chain, since a worker's next item is seeded from the item it solved
+//!   last. Claiming single items strided each worker's chain and cost
+//!   24–31% more solver iterations on the Figure-4 grid at 2 and 4
+//!   threads; runs keep it within 10% whatever order the runs are claimed
+//!   in (`tests/warm_sweep.rs`).
 //!
 //! Both preserve item order in the output.
 //!
@@ -39,14 +45,19 @@ use crate::params::SystemConfig;
 /// Environment variable overriding the sweep thread count.
 pub const SWEEP_THREADS_ENV: &str = "LT_SWEEP_THREADS";
 
+/// [`Schedule::Dynamic`] hands each thread about this many claims: fewer
+/// cut fewer warm chains, more even out skewed item costs. At 4 a worker
+/// idles at most one run (a quarter of its share) at the tail.
+const CLAIMS_PER_THREAD: usize = 4;
+
 /// How [`parallel_map_with`] assigns items to threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
     /// Contiguous per-thread chunks, fixed up front.
     #[default]
     Static,
-    /// Threads claim the next unprocessed item from a shared atomic
-    /// counter, so fast items don't wait behind slow ones.
+    /// Threads claim the next short run of unprocessed items from a
+    /// shared atomic counter, so fast items don't wait behind slow ones.
     Dynamic,
 }
 
@@ -163,9 +174,11 @@ where
                 .collect()
         }
         Schedule::Dynamic => {
-            // Each thread claims one item at a time and collects
-            // (index, result) pairs locally; results are placed into order
-            // after the join, so no slot sharing is needed.
+            // Each thread claims a run of `chunk` consecutive items at a
+            // time and collects (index, result) pairs locally; results are
+            // placed into order after the join, so no slot sharing is
+            // needed.
+            let chunk = (items.len() / (threads * CLAIMS_PER_THREAD)).max(1);
             let next = AtomicUsize::new(0);
             let mut out: Vec<Option<T>> = Vec::with_capacity(items.len());
             out.resize_with(items.len(), || None);
@@ -179,11 +192,14 @@ where
                             let mut state = init();
                             let mut local = Vec::new();
                             loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= items.len() {
+                                let start = next.fetch_add(chunk, Ordering::Relaxed);
+                                if start >= items.len() {
                                     break;
                                 }
-                                local.push((i, f(&items[i], &mut state)));
+                                let run = &items[start..(start + chunk).min(items.len())];
+                                for (i, item) in run.iter().enumerate() {
+                                    local.push((start + i, f(item, &mut state)));
+                                }
                             }
                             local
                         })
@@ -255,9 +271,9 @@ pub struct SweepOutcome {
 ///
 /// Each worker thread owns a ([`SweepSeed`], [`SolverWorkspace`]) pair:
 /// points solved consecutively on a worker seed each other (in claim
-/// order, so [`Schedule::Dynamic`] feeds warm starts through the dynamic
-/// schedule too), and all scratch memory is reused across the worker's
-/// points. Warm starts never change which answers come back — only how
+/// order, so [`Schedule::Dynamic`] feeds warm starts along each claimed
+/// run of points too), and all scratch memory is reused across the
+/// worker's points. Warm starts never change which answers come back — only how
 /// many iterations they cost — so the reports agree with a cold sweep
 /// within solver tolerance for any schedule and thread count.
 pub fn solve_sweep(cfgs: &[SystemConfig], opts: &SweepOptions) -> SweepOutcome {

@@ -108,7 +108,7 @@ fn symmetric_equals_general() {
     for_each_config(0xC0FFEE, 64, |cfg| {
         let mms = build_network(cfg).unwrap();
         let a = solve_network(&mms, SolverChoice::SymmetricAmva).unwrap();
-        let b = solve_network(&mms, SolverChoice::Amva).unwrap();
+        let b = lt_core::mva::amva::solve(&mms.net).unwrap();
         for (x, y) in a.throughput.iter().zip(&b.throughput) {
             assert!((x - y).abs() < 1e-6, "{x} vs {y}");
         }
@@ -498,6 +498,146 @@ fn class0_core_matches_the_per_class_path() {
     }
 }
 
+/// `SolverChoice::Amva` on a torus runs Bard–Schweitzer over class 0's
+/// row and expands it by translation. Cold, it reproduces the general
+/// multi-class solver to rounding: the same measures within 1e-11, every
+/// queue entry within 1e-11, the same iteration count, and diagnostics
+/// that still say `amva`. Meshes and hot-spot patterns take the general
+/// path bit for bit, and a warm chain shaped like latencyd's sweep batch
+/// stays within latbench's 1e-7 band of cold general solves.
+#[test]
+fn class0_amva_matches_general_amva() {
+    use lt_core::analysis::{solve_network_in, solve_seeded, SweepSeed};
+    use lt_core::metrics::report;
+    use lt_core::mva::{amva, SolverOptions};
+    let opts = SolverOptions::default();
+    let mut ws = SolverWorkspace::new();
+    let measures = |r: &PerformanceReport| [r.u_p, r.s_obs, r.l_obs, r.lambda_net];
+    let tori = [
+        Topology::torus(2),
+        Topology::torus(3),
+        Topology::rect_torus(2, 3),
+        Topology::torus(4),
+        Topology::torus(6),
+    ];
+    let mut gen = ConfigGen::new(0xA3FA);
+    for case in 0..40 {
+        let p_sw = gen.in_range(0.05, 1.0);
+        let pattern = match case % 3 {
+            0 => AccessPattern::geometric(p_sw),
+            1 => AccessPattern::geometric_per_module(p_sw),
+            _ => AccessPattern::Uniform,
+        };
+        let p_remote = if case == 0 {
+            0.0
+        } else {
+            gen.in_range(0.0, 0.9)
+        };
+        let cfg = SystemConfig::paper_default()
+            .with_topology(tori[case % tori.len()])
+            .with_n_threads(gen.int_in(1, 12))
+            .with_memory_ports(gen.int_in(1, 2))
+            .with_p_remote(p_remote)
+            .with_pattern(pattern)
+            .with_switch_delay(gen.in_range(0.5, 2.0))
+            .with_memory_latency(gen.in_range(0.5, 2.0));
+        let mms = build_network(&cfg).unwrap();
+        assert!(mms.is_symmetric());
+        let sol = solve_network_in(&mms, SolverChoice::Amva, opts, None, &mut ws).unwrap();
+        let general = amva::solve_in(&mms.net, opts, None, &mut ws).unwrap();
+        let m = mms.net.n_stations();
+        assert_eq!(sol.diagnostics.solver, "amva", "case #{case} {cfg:?}");
+        assert!(
+            sol.diagnostics.max_residual_index.is_some_and(|i| i < m),
+            "case #{case} {cfg:?}: max_residual_index {:?} outside class 0's row",
+            sol.diagnostics.max_residual_index
+        );
+        assert_eq!(
+            sol.iterations, general.iterations,
+            "case #{case} {cfg:?}: iteration counts"
+        );
+        for (x, y) in measures(&report(&mms, &sol))
+            .into_iter()
+            .zip(measures(&report(&mms, &general)))
+        {
+            assert!(within(x, y, 1e-11), "case #{case} {cfg:?}: {x} vs {y}");
+        }
+        for (i, (x, y)) in sol
+            .queue
+            .iter()
+            .flatten()
+            .zip(general.queue.iter().flatten())
+            .enumerate()
+        {
+            assert!(
+                (x - y).abs() <= 1e-11,
+                "case #{case} {cfg:?}: queue entry {i} {x} vs {y}"
+            );
+        }
+    }
+
+    for cfg in [
+        SystemConfig::paper_default()
+            .with_topology(Topology::mesh(3))
+            .with_n_threads(3)
+            .with_p_remote(0.4),
+        SystemConfig::paper_default()
+            .with_topology(Topology::torus(3))
+            .with_pattern(AccessPattern::hot_spot(0.3))
+            .with_n_threads(3)
+            .with_memory_ports(2),
+    ] {
+        let mms = build_network(&cfg).unwrap();
+        assert!(!mms.is_symmetric());
+        let sol = solve_network_in(&mms, SolverChoice::Amva, opts, None, &mut ws).unwrap();
+        let general = amva::solve_in(&mms.net, opts, None, &mut ws).unwrap();
+        assert!(
+            sol.throughput == general.throughput
+                && sol.queue == general.queue
+                && sol.wait == general.wait
+                && sol.diagnostics.max_residual_index == general.diagnostics.max_residual_index
+                && sol.iterations == general.iterations,
+            "{cfg:?}: left the general path"
+        );
+    }
+
+    // Two 5×10 (p_remote × n_t) sweeps over a 4×4 torus, their items
+    // alternating between two seeds as two pool workers take them.
+    let mut seeds = [SweepSeed::new(), SweepSeed::new()];
+    let mut worker_ws = [SolverWorkspace::new(), SolverWorkspace::new()];
+    let mut item = 0;
+    for (s, l) in [(1.3, 1.7), (1.8, 1.2)] {
+        let base = SystemConfig::paper_default()
+            .with_switch_delay(s)
+            .with_memory_latency(l)
+            .with_pattern(AccessPattern::geometric(0.45));
+        for p_remote in [0.1, 0.2, 0.3, 0.4, 0.5] {
+            for n_t in 1..=10 {
+                let cfg = base.with_p_remote(p_remote).with_n_threads(n_t);
+                let w = item % 2;
+                let warm = solve_seeded(
+                    &cfg,
+                    SolverChoice::Amva,
+                    opts,
+                    &mut seeds[w],
+                    &mut worker_ws[w],
+                )
+                .unwrap();
+                let mms = build_network(&cfg).unwrap();
+                let cold = report(
+                    &mms,
+                    &amva::solve_in(&mms.net, opts, None, &mut ws).unwrap(),
+                );
+                for (x, y) in measures(&warm).into_iter().zip(measures(&cold)) {
+                    assert!(within(x, y, 1e-7), "item {item} {cfg:?}: {x} vs {y}");
+                }
+                item += 1;
+            }
+        }
+    }
+    assert!(seeds.iter().all(|s| s.warm_hits > 0));
+}
+
 /// Adding threads never reduces utilization (closed PF networks are
 /// monotone in per-class population). Pinned to one explicit solver:
 /// the Auto ladder may cross an accuracy tier between n_t and n_t + 2,
@@ -755,15 +895,17 @@ fn workspace_reuse_across_shapes_is_clean() {
             let a = symmetric::solve_in(&mms, opts, None, shared).unwrap();
             let b = symmetric::solve_in(&mms, opts, None, &mut SolverWorkspace::new()).unwrap();
             assert_eq!(a.throughput, b.throughput, "symmetric leaked: {cfg:?}");
-            // The Linearizer's translation-symmetric path, as latencyd runs
-            // it on pooled workspaces.
-            let lin = SolverChoice::Linearizer;
-            let a = solve_network_in(&mms, lin, opts, None, shared).unwrap();
-            let b = solve_network_in(&mms, lin, opts, None, &mut SolverWorkspace::new()).unwrap();
-            assert!(
-                a.throughput == b.throughput && a.queue == b.queue && a.wait == b.wait,
-                "symmetric linearizer leaked: {cfg:?}"
-            );
+            // The translation-symmetric paths of the Linearizer and AMVA,
+            // as latencyd runs them on pooled workspaces.
+            for choice in [SolverChoice::Linearizer, SolverChoice::Amva] {
+                let a = solve_network_in(&mms, choice, opts, None, shared).unwrap();
+                let b = solve_network_in(&mms, choice, opts, None, &mut SolverWorkspace::new())
+                    .unwrap();
+                assert!(
+                    a.throughput == b.throughput && a.queue == b.queue && a.wait == b.wait,
+                    "symmetric {choice:?} leaked: {cfg:?}"
+                );
+            }
         }
         for cfg in &exact_shapes {
             let mms = build_network(cfg).unwrap();
