@@ -203,27 +203,36 @@ fn bench_auto_ladder(c: &mut Criterion) {
                 })
             },
         );
-        // One pass timed by phase: the kernel table's mean µs per config.
+        // One pass timed by phase: the kernel table's mean µs per config,
+        // and the mean solver iterations per config.
         let mut phases = [Duration::ZERO; 3];
+        let mut iterations = 0;
         for cfg in &cfgs {
             let t0 = Instant::now();
             let mms = build_network(cfg).unwrap();
             let t1 = Instant::now();
             let sol = solve_network_in(&mms, SolverChoice::Auto, opts, None, &mut ws).unwrap();
             let t2 = Instant::now();
+            iterations += sol.iterations;
             lt_bench::black_box(report(&mms, &sol));
             let t3 = Instant::now();
             phases[0] += t1 - t0;
             phases[1] += t2 - t1;
             phases[2] += t3 - t2;
         }
+        let per_config = |total: f64| total / cfgs.len() as f64;
         for (phase, total) in ["build", "solve", "report"].iter().zip(phases) {
             report_counter(
                 "auto-ladder",
                 &format!("k{k}-{phase}-us"),
-                total.as_secs_f64() * 1e6 / cfgs.len() as f64,
+                per_config(total.as_secs_f64() * 1e6),
             );
         }
+        report_counter(
+            "auto-ladder",
+            &format!("k{k}-iterations"),
+            per_config(iterations as f64),
+        );
     }
     group.finish();
 }

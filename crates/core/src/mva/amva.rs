@@ -101,7 +101,7 @@ pub fn solve_in(
         throughput,
         totals,
         ..
-    } = ws.scratch(c, m, false);
+    } = ws.scratch(c, m, None);
 
     // Flattened class-by-station queue matrix for the driver: warm start
     // when a usable guess was supplied, demand-proportional otherwise.

@@ -154,6 +154,15 @@ fn solve_grouped(
     net.validate()?;
     let c = net.n_classes();
     let m = net.n_stations();
+    // The station tables flat: `visits[i * m + st]`, and per station its
+    // service time and whether it queues.
+    let visits = net.visits.concat();
+    let service: Vec<f64> = net.stations.iter().map(|st| st.service).collect();
+    let queueing: Vec<bool> = net
+        .stations
+        .iter()
+        .map(|st| st.discipline == Discipline::Queueing)
+        .collect();
 
     // Mixed-radix layout over the population lattice.
     let radices: Vec<usize> = net.populations.iter().map(|&n| n + 1).collect();
@@ -233,17 +242,19 @@ fn solve_grouped(
             // Q(n − 1_i), read through its representative.
             let (prev_base, shift) = lookup(rank - strides[i]);
             let prev = &done[prev_base..prev_base + m];
+            let visits_i = &visits[i * m..(i + 1) * m];
             let mut cycle = 0.0;
             for st in 0..m {
-                let e = net.visits[i][st];
+                let e = visits_i[st];
                 if exactly_zero(e) {
                     wait_scratch[st] = 0.0;
                     continue;
                 }
-                let s = net.stations[st].service;
-                let w = match net.stations[st].discipline {
-                    Discipline::Queueing => s * (1.0 + prev[shift[st]]),
-                    Discipline::Delay => s,
+                let s = service[st];
+                let w = if queueing[st] {
+                    s * (1.0 + prev[shift[st]])
+                } else {
+                    s
                 };
                 wait_scratch[st] = w;
                 cycle += e * w;
@@ -259,7 +270,7 @@ fn solve_grouped(
                 lambda[i] = lam;
             }
             for st in 0..m {
-                let e = net.visits[i][st];
+                let e = visits_i[st];
                 if e > 0.0 {
                     current[st] += lam * e * wait_scratch[st];
                 }
@@ -275,14 +286,15 @@ fn solve_grouped(
         let (prev_base, shift) = lookup(full - strides[i]);
         let prev = &q[prev_base..prev_base + m];
         for st in 0..m {
-            let e = net.visits[i][st];
+            let e = visits[i * m + st];
             if exactly_zero(e) {
                 continue;
             }
-            let s = net.stations[st].service;
-            let w = match net.stations[st].discipline {
-                Discipline::Queueing => s * (1.0 + prev[shift[st]]),
-                Discipline::Delay => s,
+            let s = service[st];
+            let w = if queueing[st] {
+                s * (1.0 + prev[shift[st]])
+            } else {
+                s
             };
             wait[i][st] = w;
             queue[i][st] = lambda[i] * e * w;

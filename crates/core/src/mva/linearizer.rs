@@ -15,18 +15,31 @@
 //! refinement. It is rung 1 of the Auto ladder (medium systems, the
 //! paper's 4×4 torus among them) and its last-resort rung 4.
 //!
+//! The core sweeps the classes **Gauss–Seidel**: class `i`'s step sees
+//! the new rows of classes `0..i` in the per-station totals. The fixed
+//! point is Jacobi's (an unchanged iterate gives unchanged totals), and
+//! it is reached in fewer iterations, as each class's update reaches the
+//! classes after it within the same step.
+//!
 //! **Translation-symmetric path** (`solve_mms_in`, the entry
 //! [`crate::analysis::SolverChoice::Linearizer`] runs). On a torus with a
 //! translation-invariant access pattern every class is a node translation
 //! of class 0, and so is every reduced network: `N − 1_i` is `N − 1_0`
 //! moved by `i`, hence `F_{j,(kind,v)}(i) = F_{j−i,(kind,v−i)}(0)`. Each
-//! outer sweep then solves only `N − 1_0` with the general core, fills the
-//! deviation table from its one row `F(0)` by translation, and runs the
-//! full-population solve as the symmetric solver's `O(M)` class-0 fixed
-//! point ([`crate::mva::symmetric`]) plus the Linearizer's per-station
-//! correction row. A sweep costs one `O(C·M)` and one `O(M)` solve instead
-//! of `C + 1` `O(C·M)` solves. Its diagnostics come from the class-0 solve,
-//! so `max_residual_index` indexes class 0's station row, as it does for
+//! outer sweep then solves only `N − 1_0` with the general core and keeps
+//! only its row `F(0)`. The core's correction rows read `F(i)` through
+//! the translation: with `N' = N − 1_0` and `S = Σ_j F(0)[j]`,
+//!
+//! ```text
+//! base_i = row_into(i, n_t·S − F(0)[0 − i] − [N'_i > 0]·F(0)[0]) ,
+//! ```
+//!
+//! `O(M)` per class. The full-population solve is the symmetric solver's
+//! `O(M)` class-0 fixed point ([`crate::mva::symmetric`]) plus the
+//! correction row `n_t·S − F(0)[0]`. A sweep costs one `O(C·M)` and one
+//! `O(M)` solve instead of `C + 1` `O(C·M)` solves, and it reads only
+//! class 0's visit row. Its diagnostics come from the class-0 solve, so
+//! `max_residual_index` indexes class 0's station row, as it does for
 //! `symmetric-amva`.
 
 use crate::error::{LtError, Result};
@@ -77,7 +90,9 @@ enum Init<'a> {
 }
 
 /// The per-solve mutable buffers threaded through every inner core solve,
-/// split out of the [`SolverWorkspace`] once per solve.
+/// split out of the [`SolverWorkspace`] once per solve. A core solve
+/// reads its correction rows from `base` and leaves its solution in
+/// `state` (queues), `wait` and `throughput`.
 struct CoreBufs<'a> {
     state: &'a mut Vec<f64>,
     image: &'a mut Vec<f64>,
@@ -98,9 +113,21 @@ struct Split<'a> {
     aux: &'a mut Vec<f64>,
 }
 
-/// Size `ws` for `net`, copy the model tables in, and split it.
-fn split<'a>(net: &ClosedNetwork, ws: &'a mut SolverWorkspace) -> Split<'a> {
+/// Size `ws` for `net`, copy the model tables in, and split it. With a
+/// `translation` (the symmetric path) the deviation table holds `F(0)`
+/// only and every visit row is translated from class 0's; otherwise it
+/// holds every `F(i)` and the rows are copied.
+fn split<'a>(
+    net: &ClosedNetwork,
+    translation: Option<&Translation>,
+    ws: &'a mut SolverWorkspace,
+) -> Split<'a> {
     let (c, m) = (net.n_classes(), net.n_stations());
+    let deviations = if translation.is_some() {
+        c * m
+    } else {
+        c * c * m
+    };
     let Scratch {
         state,
         image,
@@ -114,9 +141,18 @@ fn split<'a>(net: &ClosedNetwork, ws: &'a mut SolverWorkspace) -> Split<'a> {
         queueing,
         fractions,
         aux,
-    } = ws.scratch(c, m, true);
-    for (dst, row) in visits.chunks_mut(m).zip(&net.visits) {
-        dst.copy_from_slice(row);
+    } = ws.scratch(c, m, Some(deviations));
+    match translation {
+        Some(translation) => {
+            for (i, dst) in visits.chunks_mut(m).enumerate() {
+                translation.row_into(i, &net.visits[0], dst);
+            }
+        }
+        None => {
+            for (dst, row) in visits.chunks_mut(m).zip(&net.visits) {
+                dst.copy_from_slice(row);
+            }
+        }
     }
     for (dst, st) in service.iter_mut().zip(&net.stations) {
         *dst = st.service;
@@ -191,90 +227,79 @@ pub fn solve_in(
     net.validate()?;
     let c = net.n_classes();
     let m = net.n_stations();
-    let full: Vec<usize> = net.populations.clone();
+    let full = &net.populations;
 
     let Split {
         flat,
         mut bufs,
         fractions,
         aux,
-    } = split(net, ws);
+    } = split(net, None, ws);
 
     // Fraction-deviation table `F[(i·C + j)·M + st]` (zeroed by `scratch`):
     // deviation of class `j` at station `st` caused by removing one
-    // class-`i` customer.
+    // class-`i` customer. A sweep's reduced solves all read the previous
+    // sweep's table, so the new deviations collect in `pending` until the
+    // sweep's last reduced solve.
+    let mut pending = vec![0.0; c * c * m];
     let first_init = match usable_warm(warm, c * m) {
         Some(w) => Init::Warm(w),
         None => Init::Cold,
     };
-    let mut sol_full = core(&flat, &full, fractions, opts, first_init, &mut bufs)?;
+    fill_base(fractions, full, m, bufs.base);
+    let mut last = core(&flat, full, opts, first_init, &mut bufs)?;
     // Iteration/extrapolation/wall-time totals over *all* inner solves (the
     // full-population one plus every reduced-population one), folded into
     // the final solution's diagnostics at the end.
-    let mut spent = sol_full.diagnostics.clone();
+    let mut spent = last.clone();
 
     let mut pop_reduced = full.clone();
-    let mut reduced: Vec<Option<MvaSolution>> = Vec::with_capacity(c);
     for _sweep in 0..OUTER_SWEEPS {
         // Warm start every inner solve of this sweep from the current
         // full-population solution — the reduced networks differ by one
         // customer, so their fixed points are close. `aux` keeps that
         // snapshot while `bufs.state` is overwritten by the inner solves.
-        for (dst, row) in aux.chunks_mut(m).zip(&sol_full.queue) {
-            dst.copy_from_slice(row);
-        }
+        aux.copy_from_slice(bufs.state);
 
         // Solve each N − 1_i with the current deviation estimates.
-        reduced.clear();
         for i in 0..c {
-            if full[i] == 0 {
-                reduced.push(None);
-                continue;
-            }
             pop_reduced[i] -= 1;
             if pop_reduced.iter().all(|&n| n == 0) {
                 pop_reduced[i] += 1;
-                reduced.push(None);
                 continue;
             }
+            fill_base(fractions, &pop_reduced, m, bufs.base);
             let init = Init::WarmScaled {
                 queue: &aux[..],
                 class: i,
                 scale: pop_reduced[i] as f64 / full[i] as f64,
             };
-            let sol_i = core(&flat, &pop_reduced, fractions, opts, init, &mut bufs);
-            pop_reduced[i] += 1;
-            let sol_i = sol_i?;
-            spent.absorb(&sol_i.diagnostics);
-            reduced.push(Some(sol_i));
-        }
-        // Update the deviations.
-        for i in 0..c {
-            let Some(sol_i) = &reduced[i] else { continue };
+            spent.absorb(&core(&flat, &pop_reduced, opts, init, &mut bufs)?);
             for j in 0..c {
                 deviation_row(
-                    &mut fractions[(i * c + j) * m..(i * c + j + 1) * m],
-                    &sol_i.queue[j],
-                    &sol_full.queue[j],
+                    &mut pending[(i * c + j) * m..(i * c + j + 1) * m],
+                    &bufs.state[j * m..(j + 1) * m],
+                    &aux[j * m..(j + 1) * m],
                     full[j],
-                    full[j] - usize::from(i == j),
+                    pop_reduced[j],
                 );
             }
+            pop_reduced[i] += 1;
         }
-        sol_full = core(
-            &flat,
-            &full,
-            fractions,
-            opts,
-            Init::Warm(&aux[..]),
-            &mut bufs,
-        )?;
-        spent.absorb(&sol_full.diagnostics);
+        fractions.copy_from_slice(&pending);
+        fill_base(fractions, full, m, bufs.base);
+        last = core(&flat, full, opts, Init::Warm(&aux[..]), &mut bufs)?;
+        spent.absorb(&last);
     }
     // Keep the final solve's traces/convergence; report cumulative effort.
-    total_effort(&mut sol_full.diagnostics, &spent);
-    sol_full.iterations = spent.iterations;
-    Ok(sol_full)
+    total_effort(&mut last, &spent);
+    Ok(MvaSolution {
+        throughput: bufs.throughput.clone(),
+        wait: bufs.wait.chunks(m).map(<[f64]>::to_vec).collect(),
+        queue: bufs.state.chunks(m).map(<[f64]>::to_vec).collect(),
+        iterations: spent.iterations,
+        diagnostics: last,
+    })
 }
 
 /// The translation-symmetric Linearizer described in the module docs; the
@@ -286,7 +311,7 @@ fn solve_symmetric_in(
     ws: &mut SolverWorkspace,
 ) -> Result<MvaSolution> {
     let net = &mms.net;
-    net.validate()?;
+    net.validate_class0()?;
     let c = net.n_classes();
     let m = net.n_stations();
     let full = &net.populations;
@@ -297,12 +322,12 @@ fn solve_symmetric_in(
         mut bufs,
         fractions,
         aux,
-    } = split(net, ws);
+    } = split(net, Some(&translation), ws);
 
-    // The class-0 iterate of the full-population solves lives in
-    // `state[..m]`, their correction row in `base[..m]` — zero until the
-    // first deviations are known, and rewritten after every reduced solve
-    // (the core rebuilds all of `base` on entry).
+    // `fractions` holds `F(0)`, row `j` at `[j·M, (j + 1)·M)`, zero until
+    // the first reduced solve. The class-0 iterate of the full-population
+    // solves lives in `state[..m]`, their correction row in `base[..m]`;
+    // the core rebuilds all of `base` before each reduced solve.
     seed_class0(mms, warm, &mut bufs.state[..m]);
     let (mut last, mut lambda) = full_class0(mms, opts, &mut bufs)?;
     let mut spent = last.clone();
@@ -311,27 +336,30 @@ fn solve_symmetric_in(
     pop_reduced[0] = full[0].saturating_sub(1);
     let reduced_empty = pop_reduced.iter().all(|&n| n == 0);
     let scale = pop_reduced[0] as f64 / full[0] as f64;
-    for sweep in 0..OUTER_SWEEPS {
+    for _sweep in 0..OUTER_SWEEPS {
         // The current full solution for every class: it warms N − 1_0 and
         // enters the deviations.
         for (i, row) in aux.chunks_mut(m).enumerate() {
             translation.row_into(i, &bufs.state[..m], row);
         }
         if !reduced_empty {
-            if sweep > 0 {
-                translate_deviations(&translation, fractions, c, m);
-            }
+            translated_base(
+                &translation,
+                fractions,
+                &pop_reduced,
+                bufs.totals,
+                bufs.base,
+            );
             let init = Init::WarmScaled {
                 queue: &aux[..],
                 class: 0,
                 scale,
             };
-            let sol_0 = core(&flat, &pop_reduced, fractions, opts, init, &mut bufs)?;
-            spent.absorb(&sol_0.diagnostics);
+            spent.absorb(&core(&flat, &pop_reduced, opts, init, &mut bufs)?);
             for j in 0..c {
                 deviation_row(
                     &mut fractions[j * m..(j + 1) * m],
-                    &sol_0.queue[j],
+                    &bufs.state[j * m..(j + 1) * m],
                     &aux[j * m..(j + 1) * m],
                     full[j],
                     pop_reduced[j],
@@ -415,19 +443,6 @@ fn deviation_row(
     }
 }
 
-/// Fill `F(i)` for every class `i > 0` from the row `F(0)` (the first
-/// `c · m` entries of `fractions`) by node translation:
-/// `F(i)[j][(kind, v)] = F(0)[j − i][(kind, v − i)]`.
-fn translate_deviations(translation: &Translation, fractions: &mut [f64], c: usize, m: usize) {
-    let (f0, rest) = fractions.split_at_mut(c * m);
-    for (i, fi) in (1..c).zip(rest.chunks_mut(c * m)) {
-        let shift = translation.class(i);
-        for (out, &src) in fi.chunks_mut(m).zip(shift) {
-            translation.row_into(i, &f0[src * m..(src + 1) * m], out);
-        }
-    }
-}
-
 /// Class `i`'s arriving-customer correction at population `pop`:
 /// `out[st] = Σ_j N_j·F_{i,j,st} − F_{i,i,st}`, the `δ_ij` term only for a
 /// populated class `i` (an empty class `j` contributes nothing).
@@ -452,22 +467,71 @@ fn correction_row(fractions: &[f64], pop: &[usize], i: usize, m: usize, out: &mu
     }
 }
 
+/// Every class's correction row at population `pop` from the full
+/// `C²·M` deviation table: `O(C²·M)`.
+fn fill_base(fractions: &[f64], pop: &[usize], m: usize, base: &mut [f64]) {
+    for (i, row) in base.chunks_mut(m).enumerate() {
+        correction_row(fractions, pop, i, m, row);
+    }
+}
+
+/// Every class's correction row at the symmetric path's `pop = N − 1_0`
+/// from `F(0)` alone, through the translation (module docs): `O(M)` per
+/// class. `sum` (`M` entries) receives `S = Σ_j F(0)[j]`.
+fn translated_base(
+    translation: &Translation,
+    f0: &[f64],
+    pop: &[usize],
+    sum: &mut [f64],
+    base: &mut [f64],
+) {
+    let m = sum.len();
+    let p = translation.nodes();
+    let n_t = (pop[0] + 1) as f64;
+    sum.iter_mut().for_each(|s| *s = 0.0);
+    for row in f0.chunks(m) {
+        for (s, &f) in sum.iter_mut().zip(row) {
+            *s += f;
+        }
+    }
+    let own = &f0[..m];
+    for (i, out) in base.chunks_mut(m).enumerate() {
+        // `F(i)[j]` is `F(0)[j − i]` translated by `i`; `j = 0` is the
+        // class one customer short, and `F(i)[i]` is `F(0)[0]`.
+        let shift = translation.class(i);
+        let short = &f0[shift[0] * m..(shift[0] + 1) * m];
+        let own_weight = if pop[i] > 0 { 1.0 } else { 0.0 };
+        for (((dst, s), f_short), f_own) in out
+            .chunks_mut(p)
+            .zip(sum.chunks(p))
+            .zip(short.chunks(p))
+            .zip(own.chunks(p))
+        {
+            for (d, &u) in dst.iter_mut().zip(shift) {
+                *d = n_t * s[u] - f_short[u] - own_weight * f_own[u];
+            }
+        }
+    }
+}
+
 /// Schweitzer-style fixed point at population `pop`, with arriving-customer
-/// queue estimates corrected by the `fractions` table.
+/// queue estimates corrected by the rows the caller left in `bufs.base`.
 ///
 /// The corrected estimate `Σ_j (N_j − δ_ij)(n_{j,st}/N_j + F_{i,j,st})`
 /// expands to `T_st − n_{i,st}/N_i + base_{i,st}` with
 /// `T_st = Σ_j n_{j,st}` and `base_{i,st} = Σ_j N_j·F_{i,j,st} − F_{i,i,st}`
 /// — `base` is constant for the whole solve, so each iteration is `O(C·M)`
-/// instead of `O(C²·M)`.
+/// instead of `O(C²·M)`. The classes are swept Gauss–Seidel: once class
+/// `i`'s new row is written, `T` takes it in place of the old one, so
+/// the classes after it see it (an empty class's row leaves `T`). The
+/// solution stays in `bufs.state`, `bufs.wait` and `bufs.throughput`.
 fn core(
     flat: &Flat,
     pop: &[usize],
-    fractions: &[f64],
     opts: SolverOptions,
     init: Init<'_>,
     bufs: &mut CoreBufs<'_>,
-) -> Result<MvaSolution> {
+) -> Result<SolverDiagnostics> {
     let (c, m) = (flat.c, flat.m);
     let CoreBufs {
         state,
@@ -508,13 +572,7 @@ fn core(
         }
     }
 
-    // `base` is constant for the whole solve (see above) and reused across
-    // core solves, so it is rebuilt for every class here.
-    for (i, row) in base.chunks_mut(m).enumerate() {
-        correction_row(fractions, pop, i, m, row);
-    }
-
-    let diagnostics = solve_fixed_point_in(
+    solve_fixed_point_in(
         "linearizer",
         state,
         &opts,
@@ -529,20 +587,22 @@ fn core(
             }
 
             for i in 0..c {
+                let row = &queue[i * m..(i + 1) * m];
+                let next_i = &mut next[i * m..(i + 1) * m];
+                let wait_i = &mut wait[i * m..(i + 1) * m];
                 if pop[i] == 0 {
-                    for st in 0..m {
-                        next[i * m + st] = 0.0;
-                        wait[i * m + st] = 0.0;
-                    }
+                    next_i.iter_mut().for_each(|q| *q = 0.0);
+                    wait_i.iter_mut().for_each(|w| *w = 0.0);
                     throughput[i] = 0.0;
+                    for (t, &q) in totals.iter_mut().zip(row) {
+                        *t -= q;
+                    }
                     continue;
                 }
-                let row = &queue[i * m..(i + 1) * m];
                 let base_i = &base[i * m..(i + 1) * m];
                 let visits_i = &flat.visits[i * m..(i + 1) * m];
                 let inv_ni = 1.0 / pop[i] as f64;
                 let mut cycle = 0.0;
-                let wait_i = &mut wait[i * m..(i + 1) * m];
                 for st in 0..m {
                     let e = visits_i[st];
                     if exactly_zero(e) {
@@ -569,26 +629,18 @@ fn core(
                 throughput[i] = lam;
                 for st in 0..m {
                     let e = visits_i[st];
-                    next[i * m + st] = if exactly_zero(e) {
+                    let q = if exactly_zero(e) {
                         0.0
                     } else {
                         lam * e * wait_i[st]
                     };
+                    next_i[st] = q;
+                    totals[st] += q - row[st];
                 }
             }
             Ok(())
         },
-    )?;
-
-    let queue: Vec<Vec<f64>> = state.chunks(m).map(|row| row.to_vec()).collect();
-    let wait: Vec<Vec<f64>> = wait.chunks(m).map(|row| row.to_vec()).collect();
-    Ok(MvaSolution {
-        throughput: throughput.clone(),
-        wait,
-        queue,
-        iterations: diagnostics.iterations,
-        diagnostics,
-    })
+    )
 }
 
 #[cfg(test)]
@@ -677,6 +729,82 @@ mod tests {
             }
         }
         assert!(sym.population_residual(&mms.net) < 1e-9);
+    }
+
+    /// `translated_base` against the `C²·M` fill it replaces: the table
+    /// `F(i)[j][(kind, v)] = F(0)[j − i][(kind, v − i)]` written out with
+    /// `Topology::untranslate`, then `correction_row` for every class.
+    #[test]
+    fn translated_base_matches_the_full_table_fill() {
+        use crate::topology::Topology;
+        let mut seed = 0x5eed_u64;
+        let mut unit = || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (topo, kinds) in [
+            (Topology::torus(3), 4),
+            (Topology::torus(4), 4),
+            (Topology::rect_torus(3, 4), 5),
+        ] {
+            let (c, translation) = (topo.nodes(), Translation::new(&topo));
+            let m = kinds * c;
+            let f0: Vec<f64> = (0..c * m).map(|_| unit()).collect();
+            let mut table = vec![0.0; c * c * m];
+            for i in 0..c {
+                for j in 0..c {
+                    let src = topo.untranslate(j, i);
+                    for st in 0..m {
+                        let (kind, v) = (st / c, st % c);
+                        table[(i * c + j) * m + st] =
+                            f0[src * m + kind * c + topo.untranslate(v, i)];
+                    }
+                }
+            }
+            for n_t in [1usize, 2, 7] {
+                let mut pop = vec![n_t; c];
+                pop[0] -= 1;
+                let mut want = vec![0.0; c * m];
+                fill_base(&table, &pop, m, &mut want);
+                let (mut sum, mut got) = (vec![0.0; m], vec![0.0; c * m]);
+                translated_base(&translation, &f0, &pop, &mut sum, &mut got);
+                for (k, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        (x - y).abs() <= 1e-14 * y.abs(),
+                        "{topo:?} n_t={n_t} entry {k}: {x} vs {y}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The Gauss–Seidel core's iteration counts on three loaded 4×4
+    /// configurations, against the Jacobi core it replaced (364, 312 and
+    /// 404 total iterations; 286, 236 and 262 with Gauss–Seidel).
+    #[test]
+    fn gauss_seidel_cuts_iterations_on_loaded_4x4_tori() {
+        let base = SystemConfig::paper_default().with_switch_delay(2.0);
+        for (cfg, jacobi) in [
+            (base.with_n_threads(12).with_p_remote(0.5), 364),
+            (base.with_n_threads(6).with_p_remote(0.45), 312),
+            (base.with_n_threads(8).with_p_remote(0.55), 404),
+        ] {
+            let mms = build_network(&cfg).unwrap();
+            let sol = solve_mms_in(
+                &mms,
+                SolverOptions::default(),
+                None,
+                &mut SolverWorkspace::new(),
+            )
+            .unwrap();
+            assert!(
+                sol.iterations * 10 <= jacobi * 9,
+                "{cfg:?}: {} iterations against Jacobi's {jacobi}",
+                sol.iterations
+            );
+        }
     }
 
     #[test]

@@ -62,8 +62,9 @@ pub struct SolverWorkspace {
     service: Vec<f64>,
     /// Per-station queueing-discipline flags, `m` (Linearizer).
     queueing: Vec<bool>,
-    /// Fraction-deviation table `F[(i·C + j)·M + st]`, `c * c * m`
-    /// (Linearizer).
+    /// Fraction-deviation table (Linearizer): `F[(i·C + j)·M + st]`,
+    /// `c * c * m`, on the general path, and only `F(0)`, `c * m`, on the
+    /// translation-symmetric one.
     fractions: Vec<f64>,
     /// Saved full-population solution used to warm reduced solves, `c * m`
     /// (Linearizer).
@@ -143,11 +144,12 @@ impl SolverWorkspace {
 
     /// Size every buffer for a `c`-class, `m`-station solve and hand out
     /// disjoint mutable views. All buffers come back zeroed, so no state
-    /// leaks between solves. `tables` additionally sizes the
-    /// Linearizer-only buffers (`base`, `visits`, `service`, `queueing`,
-    /// `fractions`, `aux`); other solvers skip them so a workspace used
-    /// only for Bard–Schweitzer never pays the `c²·m` table.
-    pub(crate) fn scratch(&mut self, c: usize, m: usize, tables: bool) -> Scratch<'_> {
+    /// leaks between solves. `deviations`, when set, additionally sizes
+    /// the Linearizer-only buffers (`base`, `visits`, `service`,
+    /// `queueing`, `aux`, and `fractions` with that many entries); other
+    /// solvers pass `None` so a workspace used only for Bard–Schweitzer
+    /// never pays for the deviation table.
+    pub(crate) fn scratch(&mut self, c: usize, m: usize, deviations: Option<usize>) -> Scratch<'_> {
         let n = c * m;
         let g = &mut self.grows;
         ensure(&mut self.state, n, 0.0, g);
@@ -156,12 +158,12 @@ impl SolverWorkspace {
         ensure(&mut self.wait, n, 0.0, g);
         ensure(&mut self.throughput, c, 0.0, g);
         ensure(&mut self.totals, m, 0.0, g);
-        if tables {
+        if let Some(deviations) = deviations {
             ensure(&mut self.base, n, 0.0, g);
             ensure(&mut self.visits, n, 0.0, g);
             ensure(&mut self.service, m, 0.0, g);
             ensure(&mut self.queueing, m, false, g);
-            ensure(&mut self.fractions, c * n, 0.0, g);
+            ensure(&mut self.fractions, deviations, 0.0, g);
             ensure(&mut self.aux, n, 0.0, g);
         }
         Scratch {
@@ -220,7 +222,7 @@ mod tests {
     fn scratch_sizes_and_zeroes() {
         let mut ws = SolverWorkspace::new();
         {
-            let s = ws.scratch(3, 4, true);
+            let s = ws.scratch(3, 4, Some(36));
             assert_eq!(s.state.len(), 12);
             assert_eq!(s.throughput.len(), 3);
             assert_eq!(s.totals.len(), 4);
@@ -229,7 +231,7 @@ mod tests {
         }
         // Re-scratch at the same shape: zeroed again, no growth.
         let before = ws.allocations();
-        let s = ws.scratch(3, 4, true);
+        let s = ws.scratch(3, 4, Some(36));
         assert!(s.state.iter().all(|&v| v == 0.0));
         assert_eq!(ws.allocations(), before);
     }
@@ -237,19 +239,19 @@ mod tests {
     #[test]
     fn growth_is_counted_once_per_shape_increase() {
         let mut ws = SolverWorkspace::new();
-        ws.scratch(2, 2, false);
+        ws.scratch(2, 2, None);
         let after_small = ws.allocations();
         assert!(after_small > 0);
         // Same shape: flat.
-        ws.scratch(2, 2, false);
+        ws.scratch(2, 2, None);
         assert_eq!(ws.allocations(), after_small);
         // Bigger shape: grows again.
-        ws.scratch(4, 8, false);
+        ws.scratch(4, 8, None);
         let after_big = ws.allocations();
         assert!(after_big > after_small);
         // Smaller shape afterwards: capacity retained, still flat.
-        ws.scratch(2, 2, false);
-        ws.scratch(3, 5, false);
+        ws.scratch(2, 2, None);
+        ws.scratch(3, 5, None);
         assert_eq!(ws.allocations(), after_big);
     }
 

@@ -242,7 +242,12 @@ pub fn build_network(cfg: &SystemConfig) -> Result<MmsNetwork> {
         populations: vec![cfg.workload.n_threads; p],
         visits,
     };
-    net.validate()?;
+    // The translated rows are as valid as class 0's.
+    if translation.is_some() {
+        net.validate_class0()?;
+    } else {
+        net.validate()?;
+    }
     Ok(MmsNetwork {
         cfg: cfg.clone(),
         net,

@@ -141,6 +141,34 @@ impl ClosedNetwork {
         }
         Ok(())
     }
+
+    /// [`ClosedNetwork::validate`] restricted to what the class-0 paths
+    /// of a translation-symmetric MMS network read: the shapes, every
+    /// station's service time, the populations, and class 0's visit row.
+    /// The other rows are translations of class 0's that those paths
+    /// never read. On any failure the full check runs and returns its
+    /// error, so the messages are the full check's.
+    pub(crate) fn validate_class0(&self) -> Result<()> {
+        let m = self.n_stations();
+        let row0_ok = |row: &[f64]| {
+            row.iter().all(|v| v.is_finite() && *v >= 0.0) && row.iter().any(|v| !exactly_zero(*v))
+        };
+        let ok = m > 0
+            && self.n_classes() > 0
+            && self.visits.len() == self.n_classes()
+            && self.visits.iter().all(|row| row.len() == m)
+            && row0_ok(&self.visits[0])
+            && self
+                .stations
+                .iter()
+                .all(|st| st.service.is_finite() && st.service >= 0.0)
+            && !self.populations.contains(&0);
+        if ok {
+            Ok(())
+        } else {
+            self.validate()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +219,47 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+    }
+
+    /// The class-0 paths of a symmetric network check what they read: a
+    /// bad class-0 entry fails with the full check's error, and a bad
+    /// row of another class is left to the solvers that read it.
+    #[test]
+    fn class0_validation_checks_what_the_class0_paths_read() {
+        use crate::mva::{amva, exact, linearizer, symmetric, SolverOptions, SolverWorkspace};
+        use crate::params::SystemConfig;
+        use crate::qn::build::build_network;
+        let mms = build_network(&SystemConfig::paper_default().with_n_threads(2)).unwrap();
+        let opts = SolverOptions::default();
+        let mut ws = SolverWorkspace::new();
+
+        let mut bad0 = mms.clone();
+        bad0.net.visits[0][5] = -1.0;
+        let want = format!("{:?}", bad0.net.validate().unwrap_err());
+        assert!(want.contains("visits row 0"), "{want}");
+        for result in [
+            bad0.net.validate_class0(),
+            symmetric::solve(&bad0).map(drop),
+            amva::solve_mms_in(&bad0, opts, None, &mut ws).map(drop),
+            linearizer::solve_mms_in(&bad0, opts, None, &mut ws).map(drop),
+        ] {
+            match result {
+                Err(e @ LtError::InvalidConfig(_)) => assert_eq!(format!("{e:?}"), want),
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+
+        let mut bad5 = mms.clone();
+        bad5.net.visits[5][3] = -1.0;
+        assert!(matches!(
+            amva::solve(&bad5.net),
+            Err(LtError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            exact::solve(&bad5.net),
+            Err(LtError::InvalidConfig(_))
+        ));
+        bad5.net.validate_class0().unwrap();
     }
 
     #[test]

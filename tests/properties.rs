@@ -204,6 +204,79 @@ fn symmetric_linearizer_equals_general() {
     }
 }
 
+/// The Linearizer's Gauss–Seidel core converges across a broad space —
+/// tori and meshes, every pattern kind, deep populations, saturating
+/// remote rates, one or two memory ports — and stops where its fixed
+/// point is: within 1e-8 (relative) of a 1e-13-tolerance solve on every
+/// throughput. On 2×2 tori it stays within `solvers_agree_on_small_system`'s
+/// 5% band of exact MVA.
+#[test]
+fn gauss_seidel_linearizer_converges_to_its_fixed_point() {
+    use lt_core::analysis::solve_network_in;
+    use lt_core::mva::SolverOptions;
+    let opts = SolverOptions::default();
+    let tight = SolverOptions {
+        tolerance: 1e-13,
+        ..opts
+    };
+    let mut ws = SolverWorkspace::new();
+    let shapes = [
+        Topology::torus(2),
+        Topology::torus(3),
+        Topology::torus(4),
+        Topology::mesh(2),
+        Topology::mesh(3),
+    ];
+    let mut gen = ConfigGen::new(0x6A55);
+    for case in 0..60 {
+        let topo = shapes[case % shapes.len()];
+        let p_sw = gen.in_range(0.05, 1.0);
+        let pattern = match gen.int_in(0, 3) {
+            0 => AccessPattern::geometric(p_sw),
+            1 => AccessPattern::geometric_per_module(p_sw),
+            2 => AccessPattern::Uniform,
+            // A hot spot on 4×4 takes the general path's C + 1 solves
+            // per sweep, too slow for a debug build.
+            _ if topo.nodes() < 16 => AccessPattern::hot_spot(0.5 * p_sw),
+            _ => AccessPattern::Uniform,
+        };
+        let n_t = if topo.nodes() == 4 && case % 2 == 0 {
+            gen.int_in(1, 4)
+        } else {
+            gen.int_in(1, 32)
+        };
+        let cfg = SystemConfig::paper_default()
+            .with_topology(topo)
+            .with_n_threads(n_t)
+            .with_p_remote(gen.in_range(0.0, 0.95))
+            .with_pattern(pattern)
+            .with_switch_delay(gen.in_range(0.5, 4.0))
+            .with_memory_latency(gen.in_range(0.5, 4.0))
+            .with_memory_ports(gen.int_in(1, 2));
+        let mms = build_network(&cfg).unwrap();
+        let solve = |o, ws: &mut SolverWorkspace| {
+            solve_network_in(&mms, SolverChoice::Linearizer, o, None, ws)
+                .unwrap_or_else(|e| panic!("case #{case} {cfg:?}: {e}"))
+        };
+        let sol = solve(opts, &mut ws);
+        let reference = solve(tight, &mut ws);
+        for (x, y) in sol.throughput.iter().zip(&reference.throughput) {
+            assert!(
+                within(*x, *y, 1e-8),
+                "case #{case} {cfg:?}: throughput {x} vs {y} at 1e-13"
+            );
+        }
+        if topo.is_vertex_transitive() && topo.nodes() == 4 && n_t <= 4 {
+            let lin = lt_core::metrics::report(&mms, &sol).u_p;
+            let exact = solve_with(&cfg, SolverChoice::Exact).unwrap().u_p;
+            assert!(
+                within(lin, exact, 0.05),
+                "case #{case} {cfg:?}: U_p {lin} vs exact {exact}"
+            );
+        }
+    }
+}
+
 /// Every class's `(em, ei, eo, d_avg)` computed class by class from
 /// `Topology::route` and `AccessPattern::remote_probs`, in the summation
 /// order the network build uses for the classes it routes.
